@@ -994,11 +994,11 @@ let serve () =
     (String.sub digest_c 0 12)
 
 (* Sharded network-engine scaling: the 10^3..10^6 planar instance ladder
-   (10^6 behind DIPP_HEAVY=1) through full DIP round-trips on the
-   {!Shard} engine at 1/2/4/8 shards.  Every result field is checked
-   identical across the shard grid (and against the single-queue {!Net}
-   engine, which agrees bit-for-bit under the reliable model), and a
-   faulty probe re-checks invariance across shard counts, worker counts
+   (10^6 behind DIPP_HEAVY=1) through full DIP round-trips on {!Shard} at
+   1/2/4/8 shards.  Every result field is checked identical across the
+   shard grid and against the independent reliable reference (the
+   decision-only {!Net.replay_check} verdict and the closed-form
+   counters), and a faulty probe re-checks invariance across shard counts, worker counts
    and partition seeds on the smallest rung.  BENCH_shard.json
    (DIPP_SHARD_OUT overrides the path) keeps wall-clock and events/s
    inside its "timing" object — everything outside it is byte-identical
@@ -1069,10 +1069,33 @@ let shard () =
                 (fam, n, Graph.m g, st, cross_frac, r.Net.accepted, r.Net.heard, invariant, wall, eps)
                 :: !rows)
             shard_grid;
-          (* the single-queue engine must agree bit-for-bit under reliable *)
-          let net_r = Net.execute ~rng:(Rng.create 42) ~model:Fault.reliable proto in
-          if not (String.equal (render net_r) (Option.get !reference)) then
-            failwith (Printf.sprintf "shard bench: %s n=%d diverges from Net.execute" fam n))
+          (* reliable reference: the replayed verdict, every directed edge
+             sent once per round and acknowledged once, nothing lost *)
+          let v = Net.replay_check proto ~frames:proto.Net.rounds in
+          let sent = 2 * Graph.m g * Array.length proto.Net.rounds in
+          let expected =
+            render
+              {
+                Net.accepted = v.Dip.accepted;
+                rejecting = v.Dip.rejecting;
+                crashed_nodes = [];
+                heard = 1.0;
+                stats =
+                  {
+                    Net.sent;
+                    delivered = 2 * sent;
+                    dropped = 0;
+                    corrupted = 0;
+                    duplicated = 0;
+                    late = 0;
+                    retransmits = 0;
+                    acks = sent;
+                  };
+              }
+          in
+          if not (String.equal expected (Option.get !reference)) then
+            failwith
+              (Printf.sprintf "shard bench: %s n=%d differs from the reliable reference" fam n))
         families)
     ladder;
   (* faulty probe: shard count, worker count and partition seed must not

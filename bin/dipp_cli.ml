@@ -398,14 +398,14 @@ let net_run_cmd =
       & opt (some int) None
       & info [ "shards" ] ~docv:"K"
           ~doc:
-            "Shard count for the partitioned engine (default: \\$(b,DIPP_SHARDS) or 4); 0 runs \
-             the single-queue engine.  The verdict is identical for every K >= 1.")
+            "Shard count: blocks of the graph stepped in parallel (default: \\$(b,DIPP_SHARDS) \
+             or 4).  The verdict is identical for every K.")
   in
   let jobs_arg =
     Arg.(
       value
       & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker-domain count for the sharded engine.")
+      & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker-domain count for the shards.")
   in
   let pseed_arg =
     Arg.(
@@ -450,15 +450,9 @@ let net_run_cmd =
           exit 2
     in
     let rng = Rng.create seed in
-    let r =
-      match shards with
-      | Some 0 -> Net.execute ~rng ~model proto
-      | _ ->
-          let r, st = Shard.execute_ex ?shards ?jobs ~partition_seed ~rng ~model proto in
-          Printf.printf "shards=%d windows=%d events=%d cross=%d\n" st.Shard.shards
-            st.Shard.windows st.Shard.events st.Shard.cross_messages;
-          r
-    in
+    let r, st = Shard.execute_ex ?shards ?jobs ~partition_seed ~rng ~model proto in
+    Printf.printf "shards=%d windows=%d events=%d cross=%d\n" st.Shard.shards st.Shard.windows
+      st.Shard.events st.Shard.cross_messages;
     Printf.printf "%s on %s (n=%d m=%d): %s\n"
       (match proto_kind with `Pls -> "pls-spanning-tree" | `St -> "st-verify")
       model_name (Graph.n g) (Graph.m g)
@@ -472,7 +466,7 @@ let net_run_cmd =
     (Cmd.info "net"
        ~doc:
          "Execute a protocol on the discrete-event network runtime (sharded across Domains with \
-          --shards; verdicts are shard-count-invariant).")
+          --shards; the result is shard-count-invariant).")
     Term.(
       const run $ file_arg $ proto_arg $ shards_arg $ jobs_arg $ pseed_arg $ model_arg $ rate_arg
       $ seed_arg)

@@ -50,7 +50,7 @@ module Series_parallel_dip = Dipp_protocols.Series_parallel_dip
 module Treewidth2_dip = Dipp_protocols.Treewidth2_dip
 
 (* trial engine: deterministic multicore experiment execution *)
-module Pool = Dipp_engine.Pool
+module Pool = Dipp_util.Pool
 module Engine = Dipp_engine.Engine
 module Soundness = Dipp_engine.Soundness
 

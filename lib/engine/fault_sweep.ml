@@ -1,7 +1,6 @@
 open Dipp_protocols
 module Gen = Dipp_gen.Gen
 module Net = Dipp_net.Net
-module Shard = Dipp_net.Shard
 module Fault = Dipp_net.Fault
 module Net_protocols = Dipp_net.Net_protocols
 module Label_cache = Dipp_trace.Label_cache
@@ -9,14 +8,7 @@ module Label_cache = Dipp_trace.Label_cache
 let seed_bound = 0x3FFF_FFFF
 let draw_seed rng = Rng.int rng seed_bound
 
-(* Which event engine executes a family's trials.  [Sharded] runs the
-   partitioned engine with [DIPP_SHARDS] (or [run_point]'s [?shards])
-   blocks but sequential window stepping (jobs = 1: the sweep already
-   fans its trials across the pool, and Shard's results are invariant to
-   both knobs anyway — which is exactly what the CI leg cross-checks). *)
-type runtime = Single | Sharded
-
-type family = { fam_id : string; build : Rng.t -> Net.protocol; runtime : runtime }
+type family = { fam_id : string; build : Rng.t -> Net.protocol }
 
 let tree_parent g =
   let p = Traversal.spanning_tree g 0 in
@@ -30,7 +22,6 @@ let draw_list rng k bound =
 
 let pls_family ~n =
   {
-    runtime = Single;
     fam_id = Printf.sprintf "pls-spanning-tree/n%d" n;
     build =
       (fun rng ->
@@ -40,7 +31,6 @@ let pls_family ~n =
 
 let st_family ~n ~reps =
   {
-    runtime = Single;
     fam_id = Printf.sprintf "st-verify/n%d" n;
     build =
       (fun rng ->
@@ -50,7 +40,6 @@ let st_family ~n ~reps =
 
 let mseq_family ~n =
   {
-    runtime = Single;
     fam_id = Printf.sprintf "multiset-eq/n%d" n;
     build =
       (fun rng ->
@@ -85,7 +74,6 @@ let mseq_family ~n =
 
 let lr_family ~n =
   {
-    runtime = Single;
     fam_id = Printf.sprintf "lr-sorting/n%d" n;
     build =
       (fun rng ->
@@ -107,7 +95,6 @@ let lr_family ~n =
 
 let po_family ~n =
   {
-    runtime = Single;
     fam_id = Printf.sprintf "path-outerplanarity/n%d" n;
     build =
       (fun rng ->
@@ -131,7 +118,6 @@ let po_family ~n =
 
 let planarity_family ~n =
   {
-    runtime = Single;
     fam_id = Printf.sprintf "planarity/n%d" n;
     build =
       (fun rng ->
@@ -147,8 +133,6 @@ let planarity_family ~n =
         Net_protocols.transport ~name:"planarity" ~graph:g ~stats ~verdict);
   }
 
-let sharded fam = { fam with fam_id = fam.fam_id ^ "/shard"; runtime = Sharded }
-
 let default_families () =
   [
     pls_family ~n:200;
@@ -157,11 +141,6 @@ let default_families () =
     lr_family ~n:120;
     po_family ~n:120;
     planarity_family ~n:64;
-    (* the same instance streams through the sharded engine: its own
-       acceptance curves (within-tick order differs from Net's), pinned in
-       the golden report and cross-checked for DIPP_SHARDS-invariance *)
-    sharded (pls_family ~n:200);
-    sharded (st_family ~n:150 ~reps:3);
   ]
 
 (* ---- the sweep grid --------------------------------------------------- *)
@@ -207,9 +186,8 @@ type point = {
 
 let acceptance_rate p = if p.trials = 0 then 0. else float_of_int p.accepted /. float_of_int p.trials
 
-let run_point ?jobs ?shards ~seed fam model rate mode trials =
+let run_point ?jobs ~seed fam model rate mode trials =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let shards = match shards with Some s -> s | None -> Shard.default_shards () in
   let id = Printf.sprintf "%s|%s|%.4f|%s" fam.fam_id model.Fault.name rate (mode_name mode) in
   let root = Rng.split_string (Rng.create seed) id in
   (* Instances come from a family-keyed stream shared by every grid point,
@@ -218,17 +196,10 @@ let run_point ?jobs ?shards ~seed fam model rate mode trials =
      Fault draws stay on the point-keyed stream. *)
   let inst_root = Rng.split_string (Rng.create seed) ("inst|" ^ fam.fam_id) in
   let nmode = match mode with Strict -> Net.Strict | Degrade -> Net.Degrade { quorum } in
-  let runtime = fam.runtime in
   let runs =
     Pool.run ~jobs trials (fun i ->
         let proto = fam.build (Rng.split inst_root i) in
-        let trng = Rng.split root i in
-        match runtime with
-        | Single -> Net.execute ~mode:nmode ~rng:trng ~model proto
-        | Sharded ->
-            (* jobs = 1: trials already saturate the pool, and the result
-               is invariant to both shard and job counts regardless *)
-            Shard.execute ~mode:nmode ~shards ~jobs:1 ~rng:trng ~model proto)
+        Net.execute ~mode:nmode ~rng:(Rng.split root i) ~model proto)
   in
   (* fold in index order: the point must not depend on completion order *)
   let p =
@@ -288,7 +259,7 @@ let default_sweep () =
     trials = default_trials ();
   }
 
-let run_sweep ?jobs ?shards ~seed sw =
+let run_sweep ?jobs ~seed sw =
   List.concat_map
     (fun fam ->
       List.concat_map
@@ -296,7 +267,7 @@ let run_sweep ?jobs ?shards ~seed sw =
           List.concat_map
             (fun rate ->
               List.map
-                (fun mode -> run_point ?jobs ?shards ~seed fam (ctor rate) rate mode sw.trials)
+                (fun mode -> run_point ?jobs ~seed fam (ctor rate) rate mode sw.trials)
                 sw.modes)
             sw.rates)
         sw.models)

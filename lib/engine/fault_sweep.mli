@@ -7,18 +7,10 @@
     folded in trial-index order, and reports carry no timing — so
     [faults_report.json] is byte-identical for any [--jobs] value. *)
 
-type runtime =
-  | Single  (** the single-queue {!Dipp_net.Net} engine *)
-  | Sharded
-      (** the partitioned {!Dipp_net.Shard} engine ([DIPP_SHARDS] blocks,
-          sequential window stepping — the sweep's trials already saturate
-          the pool, and the results are invariant to both knobs) *)
-
 type family = {
   fam_id : string;  (** stable identifier; part of every point's RNG key *)
   build : Rng.t -> Dipp_net.Net.protocol;
       (** draws an honest instance and wraps it as a network protocol *)
-  runtime : runtime;
 }
 
 val pls_family : n:int -> family
@@ -42,13 +34,9 @@ val po_family : n:int -> family
 val planarity_family : n:int -> family
 (** Checksummed-transport wrapper over an honest E8 planarity run. *)
 
-val sharded : family -> family
-(** The same instance stream on the {!Sharded} runtime; the family id
-    gains a ["/shard"] suffix (never the shard count — the report must not
-    depend on [DIPP_SHARDS]). *)
-
 val default_families : unit -> family list
-(** The six {!Single} families plus sharded pls / st-verify legs. *)
+(** The six families above, at the sizes the committed golden report
+    pins. *)
 
 type mode = Strict | Degrade
 
@@ -87,18 +75,9 @@ type point = {
 val acceptance_rate : point -> float
 
 val run_point :
-  ?jobs:int ->
-  ?shards:int ->
-  seed:int ->
-  family ->
-  Dipp_net.Fault.model ->
-  float ->
-  mode ->
-  int ->
-  point
-(** [run_point ?jobs ?shards ~seed fam model rate mode trials].  [shards]
-    (default {!Dipp_net.Shard.default_shards}[ ()]) only reaches
-    {!Sharded} families and never changes the point's bytes. *)
+  ?jobs:int -> seed:int -> family -> Dipp_net.Fault.model -> float -> mode -> int -> point
+(** [run_point ?jobs ~seed fam model rate mode trials] runs the point's
+    trials through {!Dipp_net.Net.execute} on the {!Pool}. *)
 
 type sweep = {
   families : family list;
@@ -110,9 +89,9 @@ type sweep = {
 
 val default_sweep : unit -> sweep
 
-val run_sweep : ?jobs:int -> ?shards:int -> seed:int -> sweep -> point list
+val run_sweep : ?jobs:int -> seed:int -> sweep -> point list
 (** Runs the full grid; the output order (families, then models, then
-    rates, then modes) is fixed and independent of [jobs] and [shards]. *)
+    rates, then modes) is fixed and independent of [jobs]. *)
 
 val report_string : seed:int -> point list -> string
 (** Deterministic JSON, with Wilson 95% intervals on the acceptance rate. *)

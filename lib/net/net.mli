@@ -9,18 +9,51 @@
     per-message acknowledgements, timeout-driven retransmission under
     bounded exponential backoff, and a per-round receive deadline.
 
-    After the event queue drains, every live node runs the protocol's local
+    After the events drain, every live node runs the protocol's local
     check against the labels that actually arrived, under a {!degradation}
     policy: [Strict] rejects unless the full neighborhood was heard;
     [Degrade] skips unheard neighbors but rejects on quorum loss.  The run
     accepts iff no live node rejects (and at least one node survived).
 
-    Determinism contract (ANALYSIS.md): every fault draw comes from an
-    {!Rng} stream keyed by [(seed, link id, delivery index)] (crashes:
-    [(seed, node id)]) via {!Rng.split_string}; the event queue breaks time
-    ties by insertion order, which is itself fixed.  A run's {!result} is
-    therefore a pure function of [(protocol, config, model, rng seed)] —
-    byte-identical across worker counts and machines. *)
+    The engine splits the nodes into blocks ({!Dipp_graph.Partition}),
+    one event heap each, and advances them in conservative time windows:
+    every window processes the events in [\[T, T + W)] where [T] is the
+    global minimum pending event time and the lookahead
+    [W = max 1 (min latency timeout)] under-approximates the minimum
+    scheduling distance (every handled event schedules its successors at
+    least that many ticks later), so no event generated inside a window
+    can land in that same window.  Arrivals owned by another block are
+    returned as pure values and merged between windows.  {!execute} runs
+    one block on the calling domain; {!Shard} runs several on a Domain
+    pool.
+
+    {2 Determinism contract}
+
+    A run's {!result} is a pure function of
+    [(protocol, config, mode, model, rng seed)] — byte-identical across
+    machines, and independent of the block count, the worker count and
+    the partition seed:
+
+    - every fault draw comes from an {!Rng} stream keyed by
+      [(seed, link id, delivery index)] (crashes: [(seed, node id)]) via
+      {!Rng.split_string};
+    - every event has a unique owner node (a [Send] and an [Ack] execute
+      at their source, a [Data] at its destination), and all mutable
+      runtime state is keyed by the owner — so two events interact only
+      when they share an owner, and a block boundary can never sit
+      between them;
+    - events are ordered by a structural key
+      [(time, kind, round, src, dst, attempt, copy)] computed from the
+      event alone (no global insertion counter), so each owner processes
+      its events in the same order under any partition; the only key
+      collisions are between [Ack]s of the same [(src, dst, round)],
+      whose effects commute;
+    - per-link delivery indices (the {!Fault} stream keys) are assigned
+      by the link's origin node in that same structural order, so the
+      fault schedule is partition-invariant;
+    - the decision phase runs per block but is merged in ascending node
+      order, so float accumulation ([heard]) associates identically for
+      every block count. *)
 
 type config = {
   latency : int;  (** base link latency, ticks *)
@@ -76,12 +109,43 @@ type result = {
   stats : stats;
 }
 
+type run_stats = {
+  shards : int;  (** block count actually used (clamped to [\[1, 64\]] and to [n]) *)
+  windows : int;  (** synchronization windows executed *)
+  events : int;  (** events processed, summed over blocks *)
+  cross_messages : int;
+      (** scheduled arrivals whose origin and owner lie in different
+          blocks — the merge traffic; depends on the partition, so it
+          never feeds a report that must be block-count-invariant *)
+}
+
 val execute :
   ?config:config -> ?mode:degradation -> rng:Rng.t -> model:Fault.model -> protocol -> result
-(** Runs the full exchange-and-decide pipeline.  [mode] defaults to
-    [Strict].  With {!Fault.reliable}, every label arrives on time and the
-    result reduces to the protocol's synchronous verdict (completeness is
-    preserved). *)
+(** Runs the full exchange-and-decide pipeline on one block.  [mode]
+    defaults to [Strict].  With {!Fault.reliable}, every label arrives on
+    time and the result reduces to the protocol's synchronous verdict
+    (completeness is preserved).
+
+    Preconditions, checked before any event runs (each violation raises
+    [Invalid_argument]): [config.latency >= 1] and [config.timeout >= 1]
+    (the window lookahead), [0 <= config.retries <= 14], at most 255
+    rounds, and [n < 2^27] (the structural-key packing). *)
+
+val execute_partitioned :
+  ?config:config ->
+  ?mode:degradation ->
+  shards:int ->
+  jobs:int ->
+  partition_seed:int ->
+  rng:Rng.t ->
+  model:Fault.model ->
+  protocol ->
+  result * run_stats
+(** The engine behind {!execute} and {!Shard.execute_ex}: [shards] blocks
+    (clamped to [\[1, 64\]]) drawn by {!Dipp_graph.Partition.make}
+    [~seed:partition_seed], stepped on up to [jobs] domains
+    ({!Dipp_util.Pool.run}).  Same preconditions as {!execute}; the
+    {!result} never depends on [shards], [jobs] or [partition_seed]. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -1,26 +1,12 @@
-(* Sharded conservative-window event engine.  See shard.mli for the
-   determinism argument; the invariants the code below maintains are:
+(* The partitioned entry points of the one event engine (Net.execute_partitioned);
+   this module only resolves the shard and worker defaults. *)
 
-   1. Owner-locality: an event is processed on the shard owning its
-      owner node, and only touches state keyed by that node ([acked] at
-      the source, [got] at the destination, [link_ix] at a link's origin).
-   2. Structural order: heaps are keyed (time, (kind|round|src), (dst|
-      attempt|copy)) — computable from the event alone, so every owner
-      sees its events in the same order under any partition.  The only
-      equal-key pairs are Acks for the same (src, dst, round), whose
-      effects commute (idempotent replace + commutative counter).
-   3. Lookahead: every scheduled successor lands at least
-      min(latency, timeout) >= 1 ticks after its cause, so a window
-      [T, T + W) with W = max 1 (min latency timeout) is closed under
-      causality: nothing generated inside it belongs to it.
-
-   Cross-window parallelism uses the same shape as Dipp_engine.Pool
-   (atomic claim counter, task-indexed result cells, first-error CAS) —
-   the idioms dipp-race proves safe.  Shard records are only ever touched
-   by the task whose index owns them, and everything a window exports
-   travels through the pure result array. *)
-
-let clamp_shards s = if s < 1 then 1 else if s > 64 then 64 else s
+type run_stats = Net.run_stats = {
+  shards : int;
+  windows : int;
+  events : int;
+  cross_messages : int;
+}
 
 (* Written only by [default_shards], i.e. on the caller's own domain
    before any worker is spawned.  (* dipp-race: domain-local *) *)
@@ -30,7 +16,7 @@ let default_shards () =
   match Sys.getenv_opt "DIPP_SHARDS" with
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some v when v >= 1 -> clamp_shards v
+      | Some v when v >= 1 -> min v 64
       | Some _ | None ->
           if not !warned_invalid_shards then begin
             warned_invalid_shards := true;
@@ -39,341 +25,10 @@ let default_shards () =
           1)
   | None -> 4
 
-(* Pool.run's claim-counter fan-out, replicated here because dipp_engine
-   depends on dipp_net (the dependency cannot point the other way). *)
-let par_run ~jobs n f =
-  if n < 0 then invalid_arg "Shard.par_run";
-  let jobs = if jobs < 1 then 1 else if jobs > 64 then 64 else jobs in
-  let jobs = min jobs (max 1 n) in
-  if jobs <= 1 || n <= 1 then Array.init n f
-  else begin
-    let results = Array.make n None in
-    let first_error = Atomic.make None in
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (match f i with
-          | v -> results.(i) <- Some v
-          | exception e -> ignore (Atomic.compare_and_set first_error None (Some e)));
-          match Atomic.get first_error with None -> loop () | Some _ -> ()
-        end
-      in
-      loop ()
-    in
-    let spawned = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned;
-    match Atomic.get first_error with
-    | Some e -> raise e
-    | None -> Array.map (function Some v -> v | None -> assert false) results
-  end
-
-type run_stats = { shards : int; windows : int; events : int; cross_messages : int }
-
-type ev =
-  | Send of { src : int; dst : int; round : int; attempt : int }
-  | Data of { src : int; dst : int; round : int; payload : Bits.t; corrupted : bool }
-  | Ack of { src : int; dst : int; round : int }
-
-(* kind ranks: Ack 0, Data 1, Send 2 — at one node and tick, settle
-   acknowledgements first, then receipts, then (re)transmissions *)
-let k1_of ~kind ~round ~src = (((kind lsl 8) lor round) lsl 30) lor src
-let k2_of ~dst ~attempt ~copy = (dst lsl 5) lor (attempt lsl 1) lor copy
-
-type shard_state = {
-  heap : ev Min_heap.t;
-  link_ix : (int, int) Hashtbl.t;  (* origin-owned directed link -> next delivery ix *)
-  acked : (int, unit) Hashtbl.t;  (* (src, dst, round), source-owned *)
-  got : (int, Bits.t) Hashtbl.t;  (* (dst, src, round), destination-owned *)
-  mutable sent : int;
-  mutable delivered : int;
-  mutable dropped : int;
-  mutable corrupted : int;
-  mutable duplicated : int;
-  mutable late : int;
-  mutable retransmits : int;
-  mutable acks : int;
-  mutable events : int;
-}
-
-let link_id u v = Printf.sprintf "%d>%d" u v
-
-let execute_ex ?(config = Net.default_config) ?(mode = Net.Strict) ?shards ?jobs
-    ?(partition_seed = 0) ~rng ~model (proto : Net.protocol) =
-  let cfg = config in
-  if cfg.Net.latency < 1 || cfg.Net.timeout < 1 then
-    invalid_arg "Shard.execute: latency and timeout must be >= 1 (the window lookahead)";
-  if cfg.Net.retries < 0 || cfg.Net.retries > 14 then
-    invalid_arg "Shard.execute: retries must be in [0, 14] (structural-key packing)";
-  let g = proto.Net.graph in
-  let n = Graph.n g in
-  if n >= 1 lsl 27 then invalid_arg "Shard.execute: n >= 2^27 (structural-key packing)";
-  let nrounds = Array.length proto.Net.rounds in
-  if nrounds > 255 then invalid_arg "Shard.execute: more than 255 rounds";
-  let nshards = clamp_shards (match shards with Some s -> s | None -> default_shards ()) in
-  let jobs =
-    match jobs with
-    | Some j -> j
-    | None -> min 64 (Domain.recommended_domain_count ())
-  in
-  let part = Partition.make ~seed:partition_seed ~blocks:nshards g in
-  let nsh = part.Partition.nblocks in
-  let round_start r = r * cfg.Net.phase_gap in
-  let lookahead = max 1 (min cfg.Net.latency cfg.Net.timeout) in
-  (* (a, b, r) packed; n < 2^27 and r < 256 keep this well inside 62 bits *)
-  let key3 a b r = (((a * n) + b) * 256) + r in
-  let crash_at = Array.make (max 1 n) max_int in
-  for v = 0 to n - 1 do
-    match Fault.crash_round ~rng ~node:v ~rounds:nrounds model with
-    | Some r -> crash_at.(v) <- round_start r
-    | None -> ()
-  done;
-  let mk_shard () =
-    {
-      heap = Min_heap.create ~capacity:256 ~dummy:(Ack { src = 0; dst = 0; round = 0 }) ();
-      link_ix = Hashtbl.create 64;
-      acked = Hashtbl.create 64;
-      got = Hashtbl.create 64;
-      sent = 0;
-      delivered = 0;
-      dropped = 0;
-      corrupted = 0;
-      duplicated = 0;
-      late = 0;
-      retransmits = 0;
-      acks = 0;
-      events = 0;
-    }
-  in
-  let shards_st = Array.init nsh (fun _ -> mk_shard ()) in
-  (* initial sends: round r's labels leave at the round start, one message
-     per directed edge, enqueued at the source's shard *)
-  for r = 0 to nrounds - 1 do
-    for v = 0 to n - 1 do
-      let h = shards_st.(part.Partition.block.(v)).heap in
-      Array.iter
-        (fun u ->
-          Min_heap.push h ~k0:(round_start r)
-            ~k1:(k1_of ~kind:2 ~round:r ~src:v)
-            ~k2:(k2_of ~dst:u ~attempt:0 ~copy:0)
-            (Send { src = v; dst = u; round = r; attempt = 0 }))
-        (Graph.neighbors g v)
-    done
-  done;
-  (* One window on shard [s]: pop every event before [limit], mutate only
-     this shard's state, and collect arrivals owned elsewhere into [out]
-     (a pure per-destination-shard list array, the task's return value). *)
-  let process_window s limit =
-    let sh = shards_st.(s) in
-    let out = Array.make nsh [] in
-    let emit ~at ~key1 ~key2 ~owner e =
-      let t = part.Partition.block.(owner) in
-      if t = s then Min_heap.push sh.heap ~k0:at ~k1:key1 ~k2:key2 e
-      else out.(t) <- (at, key1, key2, e) :: out.(t)
-    in
-    let transmit ~now ~kind ~round ~ksrc ~kdst ~kattempt ~owner u v payload mk =
-      let lk = (u * n) + v in
-      let ix = match Hashtbl.find_opt sh.link_ix lk with Some i -> i | None -> 0 in
-      Hashtbl.replace sh.link_ix lk (ix + 1);
-      let o =
-        Fault.transmit ~rng ~link:(link_id u v) ~ix ~now ~latency:cfg.Net.latency model payload
-      in
-      if o.Fault.was_dropped then sh.dropped <- sh.dropped + 1;
-      if o.Fault.was_duplicated then sh.duplicated <- sh.duplicated + 1;
-      List.iteri
-        (fun copy d ->
-          if d.Fault.corrupted then sh.corrupted <- sh.corrupted + 1;
-          emit ~at:d.Fault.at
-            ~key1:(k1_of ~kind ~round ~src:ksrc)
-            ~key2:(k2_of ~dst:kdst ~attempt:kattempt ~copy)
-            ~owner
-            (mk d.Fault.payload d.Fault.corrupted))
-        o.Fault.deliveries
-    in
-    let handle now ev =
-      match ev with
-      | Send { src; dst; round; attempt } ->
-          if now < crash_at.(src) && not (Hashtbl.mem sh.acked (key3 src dst round)) then begin
-            if attempt > 0 then sh.retransmits <- sh.retransmits + 1;
-            sh.sent <- sh.sent + 1;
-            if attempt < cfg.Net.retries then
-              emit
-                ~at:(now + (cfg.Net.timeout * (1 lsl attempt)))
-                ~key1:(k1_of ~kind:2 ~round ~src)
-                ~key2:(k2_of ~dst ~attempt:(attempt + 1) ~copy:0)
-                ~owner:src
-                (Send { src; dst; round; attempt = attempt + 1 });
-            transmit ~now ~kind:1 ~round ~ksrc:src ~kdst:dst ~kattempt:attempt ~owner:dst src dst
-              proto.Net.rounds.(round).(src) (fun payload corrupted ->
-                Data { src; dst; round; payload; corrupted })
-          end
-      | Data { src; dst; round; payload; corrupted } ->
-          sh.delivered <- sh.delivered + 1;
-          if now < crash_at.(dst) then
-            if proto.Net.checksum && corrupted then
-              (* the frame check detects the flip: discard silently, so the
-                 sender's retransmission chain covers it like a drop *)
-              ()
-            else begin
-              if now > round_start round + cfg.Net.deadline then sh.late <- sh.late + 1
-              else if not (Hashtbl.mem sh.got (key3 dst src round)) then
-                Hashtbl.replace sh.got (key3 dst src round) payload;
-              (* always acknowledge a structurally valid frame, even a late
-                 or duplicate one, to quiet the sender *)
-              sh.acks <- sh.acks + 1;
-              transmit ~now ~kind:0 ~round ~ksrc:src ~kdst:dst ~kattempt:0 ~owner:src dst src
-                Bits.empty (fun _ _ -> Ack { src; dst; round })
-            end
-      | Ack { src; dst; round } ->
-          sh.delivered <- sh.delivered + 1;
-          Hashtbl.replace sh.acked (key3 src dst round) ()
-    in
-    let rec go () =
-      match Min_heap.min_k0 sh.heap with
-      | Some t when t < limit -> (
-          match Min_heap.pop_min sh.heap with
-          | Some (at, _, _, e) ->
-              sh.events <- sh.events + 1;
-              handle at e;
-              go ()
-          | None -> ())
-      | Some _ | None -> ()
-    in
-    go ();
-    out
-  in
-  let windows = ref 0 in
-  let cross = ref 0 in
-  let next_time () =
-    let t = ref max_int in
-    Array.iter
-      (fun sh -> match Min_heap.min_k0 sh.heap with Some x -> if x < !t then t := x | None -> ())
-      shards_st;
-    if !t = max_int then None else Some !t
-  in
-  let rec window_loop () =
-    match next_time () with
-    | None -> ()
-    | Some t ->
-        incr windows;
-        let limit = t + lookahead in
-        let outs = par_run ~jobs nsh (fun s -> process_window s limit) in
-        (* merge in (source shard, destination shard) order; the heap keys
-           make any merge order equivalent (unique keys or commuting Acks) *)
-        Array.iter
-          (fun out ->
-            for tdst = 0 to nsh - 1 do
-              List.iter
-                (fun (at, key1, key2, e) ->
-                  incr cross;
-                  Min_heap.push shards_st.(tdst).heap ~k0:at ~k1:key1 ~k2:key2 e)
-                out.(tdst)
-            done)
-          outs;
-        window_loop ()
-  in
-  window_loop ();
-  (* ---- decisions: per shard in parallel, merged in node order ---- *)
-  let decide s =
-    let sh = shards_st.(s) in
-    let members = part.Partition.blocks.(s) in
-    let len = Array.length members in
-    let status = Array.make len 0 in
-    (* 0 ok / 1 rejecting / 2 crashed *)
-    let frac = Array.make len 0. in
-    Array.iteri
-      (fun i v ->
-        if crash_at.(v) < max_int then status.(i) <- 2
-        else begin
-          let ns = Graph.neighbors g v in
-          let deg = Array.length ns in
-          let view_of u =
-            let rec collect r acc =
-              if r < 0 then Some (Array.of_list acc)
-              else
-                (* the packed key addresses v's own receive store at the
-                   bound neighbor u — local by construction, just opaque
-                   to the analyzer behind the key3 arithmetic *)
-                match
-                  Hashtbl.find_opt sh.got (key3 v u r) (* dipp-lint: allow locality-index flow-locality *)
-                with
-                | Some b -> collect (r - 1) (b :: acc)
-                | None -> None
-            in
-            collect (nrounds - 1) []
-          in
-          let views = Array.map (fun u -> (u, view_of u)) ns in
-          let visible =
-            Array.fold_left
-              (fun acc (_, w) -> match w with Some _ -> acc + 1 | None -> acc)
-              0 views
-          in
-          frac.(i) <- (if deg = 0 then 1. else float_of_int visible /. float_of_int deg);
-          let fetch u =
-            let found = ref None in
-            Array.iter (fun (u', w) -> if u' = u then found := w) views;
-            !found
-          in
-          let ok =
-            match mode with
-            | Net.Strict -> visible = deg && proto.Net.node_check v fetch
-            | Net.Degrade { quorum } ->
-                (deg = 0 || float_of_int visible >= quorum *. float_of_int deg)
-                && proto.Net.node_check v fetch
-          in
-          if not ok then status.(i) <- 1
-        end)
-      members;
-    (status, frac)
-  in
-  let decisions = par_run ~jobs nsh decide in
-  let crashed_nodes = ref [] in
-  let rejecting = ref [] in
-  let heard_sum = ref 0. in
-  let live = ref 0 in
-  for v = n - 1 downto 0 do
-    let status, frac = decisions.(part.Partition.block.(v)) in
-    let i = part.Partition.pos.(v) in
-    match status.(i) with
-    | 2 -> crashed_nodes := v :: !crashed_nodes
-    | s ->
-        incr live;
-        heard_sum := !heard_sum +. frac.(i);
-        if s = 1 then rejecting := v :: !rejecting
-  done;
-  let crashed_nodes = !crashed_nodes and rejecting = !rejecting in
-  let accepted =
-    n = 0 || (!live > 0 && (match rejecting with [] -> true | _ :: _ -> false))
-  in
-  let sum f = Array.fold_left (fun acc sh -> acc + f sh) 0 shards_st in
-  let result =
-    {
-      Net.accepted;
-      rejecting;
-      crashed_nodes;
-      heard = (if !live = 0 then 0. else !heard_sum /. float_of_int !live);
-      stats =
-        {
-          Net.sent = sum (fun sh -> sh.sent);
-          delivered = sum (fun sh -> sh.delivered);
-          dropped = sum (fun sh -> sh.dropped);
-          corrupted = sum (fun sh -> sh.corrupted);
-          duplicated = sum (fun sh -> sh.duplicated);
-          late = sum (fun sh -> sh.late);
-          retransmits = sum (fun sh -> sh.retransmits);
-          acks = sum (fun sh -> sh.acks);
-        };
-    }
-  in
-  ( result,
-    {
-      shards = nsh;
-      windows = !windows;
-      events = sum (fun sh -> sh.events);
-      cross_messages = !cross;
-    } )
+let execute_ex ?config ?mode ?shards ?jobs ?(partition_seed = 0) ~rng ~model proto =
+  let shards = match shards with Some s -> s | None -> default_shards () in
+  let jobs = match jobs with Some j -> j | None -> Domain.recommended_domain_count () in
+  Net.execute_partitioned ?config ?mode ~shards ~jobs ~partition_seed ~rng ~model proto
 
 let execute ?config ?mode ?shards ?jobs ?partition_seed ~rng ~model proto =
   fst (execute_ex ?config ?mode ?shards ?jobs ?partition_seed ~rng ~model proto)

@@ -1,59 +1,18 @@
-(** Sharded discrete-event execution of {!Net} protocols across Domains.
+(** Sharded execution of {!Net} protocols across Domains.
 
-    The graph is split into blocks by {!Dipp_graph.Partition}; each block
-    runs its own event heap, fault-stream indices and per-node message
-    state, and the shards advance in conservative time windows: every
-    window processes the events in [\[T, T + W)] where [T] is the global
-    minimum pending event time and the lookahead
-    [W = max 1 (min latency timeout)] under-approximates the minimum
-    scheduling distance of the runtime (every handled event schedules its
-    successors at least [min latency timeout >= 1] ticks later), so no
-    event generated inside a window can land in that same window.
-    Cross-shard arrivals are returned as pure values and merged by the
-    coordinator between windows.
+    The same engine as {!Net.execute} ({!Net.execute_partitioned}), with
+    the graph split into several blocks stepped on a Domain pool.  The
+    returned {!Net.result} is identical to {!Net.execute}'s for every
+    shard count, worker count and partition seed (the determinism
+    contract in net.mli), and the preconditions are the same. *)
 
-    {2 Determinism contract}
-
-    The returned {!Net.result} is a pure function of
-    [(protocol, config, mode, model, rng seed)].  It is {e independent} of
-    the shard count, the worker count, and the partition seed:
-
-    - every event has a unique owner node (a [Send] and an [Ack] execute
-      at their source, a [Data] at its destination), and all mutable
-      runtime state is keyed by the owner — so two events interact only
-      when they share an owner, and a partition boundary can never sit
-      between them;
-    - events are ordered by a structural key
-      [(time, kind, round, src, dst, attempt, copy)] computed from the
-      event alone (no global insertion counter), so each owner processes
-      its events in the same order under any partition; the only key
-      collisions are between [Ack]s of the same [(src, dst, round)],
-      whose effects commute;
-    - per-link delivery indices (the {!Fault} stream keys) are assigned
-      by the link's origin node in that same structural order, so the
-      fault schedule is partition-invariant;
-    - the decision phase runs per shard but is merged in ascending node
-      order, so float accumulation ([heard]) associates identically for
-      every shard count.
-
-    [execute] therefore differs from {!Net.execute} only in the
-    within-tick processing order (structural vs. insertion order) — the
-    two engines agree bit-for-bit under {!Fault.reliable}, and each pins
-    its own golden acceptance curves under faults.
-
-    Requires [config.latency >= 1], [config.timeout >= 1] (the lookahead
-    argument above), [retries <= 14], at most 255 rounds and
-    [n < 2^27] (structural-key packing). *)
-
-type run_stats = {
-  shards : int;  (** shard count actually used (clamped to [n]) *)
-  windows : int;  (** synchronization windows executed *)
-  events : int;  (** events processed, summed over shards *)
+type run_stats = Net.run_stats = {
+  shards : int;
+  windows : int;
+  events : int;
   cross_messages : int;
-      (** scheduled arrivals whose origin and owner lie in different
-          shards — the merge traffic; depends on the partition, so it
-          never feeds a report that must be shard-count-invariant *)
 }
+(** See {!Net.run_stats}. *)
 
 val default_shards : unit -> int
 (** The [DIPP_SHARDS] environment variable if set to a positive integer

@@ -15,7 +15,6 @@
    state through the two mutex-guarded caches. *)
 
 module Gen = Dipp_gen.Gen
-module Pool = Dipp_engine.Pool
 module Trace = Dipp_trace.Trace
 module Label_cache = Dipp_trace.Label_cache
 

@@ -9,7 +9,9 @@
      the checksummed transport; a certain crash kills acceptance; a larger
      retry budget recovers more frames;
    - determinism: a run is a pure function of (protocol, config, model,
-     seed), and the sweep report is byte-identical across worker counts. *)
+     seed), and the sweep report is byte-identical across worker counts;
+   - preconditions: a config outside the engine's limits (net.mli) raises
+     Invalid_argument before any event runs. *)
 
 let seed = 1234
 
@@ -181,6 +183,30 @@ let test_zero_rate_sweep_accepts () =
     [ Fault_sweep.pls_family ~n:40; Fault_sweep.st_family ~n:30 ~reps:2;
       Fault_sweep.planarity_family ~n:30 ]
 
+(* ---- preconditions ------------------------------------------------------ *)
+
+let test_preconditions () =
+  let g, parent = planar_instance 20 in
+  let proto = Net_protocols.pls_spanning_tree ~graph:g ~parent in
+  (* node_check runs only after the events drain; it must never be reached *)
+  let checks = ref 0 in
+  let proto =
+    { proto with Net.node_check = (fun v recv -> incr checks; proto.Net.node_check v recv) }
+  in
+  List.iter
+    (fun (what, config) ->
+      let raised =
+        match Net.execute ~config ~rng:(Rng.create seed) ~model:Fault.reliable proto with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      Alcotest.(check bool) (what ^ " raises Invalid_argument") true raised)
+    [
+      ("retries = 15", { Net.default_config with Net.retries = 15 });
+      ("latency = 0", { Net.default_config with Net.latency = 0 });
+    ];
+  Alcotest.(check int) "no node decided" 0 !checks
+
 let () =
   Alcotest.run "net"
     [
@@ -206,4 +232,6 @@ let () =
           Alcotest.test_case "sweep report identical for 1/2/4 domains" `Quick
             test_sweep_identical_across_jobs;
         ] );
+      ( "limits",
+        [ Alcotest.test_case "retries = 15, latency = 0 rejected" `Quick test_preconditions ] );
     ]

@@ -6,7 +6,7 @@
    guards, acquisition-order cycles), the merge-only determinism
    contract, the captured-Rng discipline, and trusted annotations with
    their honesty checks.  The mutation tests analyze the real shipped
-   modules (lib/trace/label_cache.ml, lib/engine/pool.ml) and flip their
+   modules (lib/trace/label_cache.ml, lib/util/pool.ml) and flip their
    verdicts by editing the source: dropping the label-cache mutex or
    moving a pooled fold into the closure must each produce a finding.  A
    4-domain stress test pins the runtime promise the pass encodes:
@@ -286,7 +286,7 @@ let test_mutation_pool_clean_with_proofs () =
   match locate_lib () with
   | None -> Alcotest.fail "cannot locate lib/ from the test working directory"
   | Some dir ->
-      let file = Filename.concat dir "engine/pool.ml" in
+      let file = Filename.concat dir "util/pool.ml" in
       let src = In_channel.with_open_bin file In_channel.input_all in
       let r = analyze_source ~filename:file src in
       Alcotest.(check (list string)) "shipped pool is clean" [] (rules_of r.Race.findings);
