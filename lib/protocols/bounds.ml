@@ -172,3 +172,11 @@ let budget r ~n ~delta =
     budget_proof_bits = envelope r ~n ~delta;
     budget_floor_bits = (match r.floor with Some f -> f n | None -> 0);
   }
+
+(* Under Flat, the cursor is preallocated to the row's envelope so a
+   reset-reused node encoder never climbs the grow ladder. *)
+let label_encoder codec id ~n ~delta =
+  let capacity =
+    match find id with Some row -> envelope row ~n ~delta:(max 2 delta) | None -> 64
+  in
+  Bits_flat.Enc.create codec ~capacity 64

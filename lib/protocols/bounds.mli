@@ -62,3 +62,8 @@ val ceil_log2 : int -> int
 
 val loglog : int -> int
 (** [ceil_log2 (ceil_log2 n)], the paper's proof-size scale. *)
+
+val label_encoder : Bits_flat.codec -> string -> n:int -> delta:int -> Bits_flat.Enc.t
+(** [label_encoder codec id ~n ~delta] is a label cursor for protocol
+    [id], sized to its envelope at [n] and maximum degree [delta] (floored
+    at 2), for reset-reuse across a phase's labels. *)

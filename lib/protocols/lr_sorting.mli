@@ -78,9 +78,8 @@ val run :
 (** Executes the 5-round protocol.  [Honest] on a yes-instance always
     accepts (perfect completeness); on a no-instance every prover strategy
     is rejected with probability 1 - 1/polylog n.  [codec] selects the
-    label serializer: the checked {!Bits.Writer} reference path (default)
-    or the flat preallocated-buffer path — both produce byte-identical
-    labels. *)
+    label cursor's backend ({!Bits_flat.Flat} by default); [Checked] is
+    the reference, and both write the same bytes. *)
 
 val replay :
   ?c:int ->
@@ -95,4 +94,6 @@ val replay :
     coin sampling.  On a transcript recorded by [run ~retain:true] with the
     same [c]/[block], the verdict equals the live run's verdict bit for
     bit.  [Error] reports a structurally malformed transcript (wrong frame
-    arity or schedule, a label that does not parse). *)
+    arity or schedule, a label that does not parse).  [codec] selects the
+    decoding cursor's backend ({!Bits_flat.Flat} by default); [Checked]
+    is the reference, and both return the same result on any frames. *)

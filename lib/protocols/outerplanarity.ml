@@ -66,7 +66,7 @@ let run_biconnected ?(seed = 0) ?(c = 3) ?param_n ?retain ?codec ~prover g =
 (* Theorem 1.3: general outerplanarity via the block-cut tree.         *)
 (* ------------------------------------------------------------------ *)
 
-let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~prover inst =
+let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover inst =
   let g = inst.graph in
   let n = Graph.n g in
   if n = 0 || not (Traversal.is_connected g) then invalid_arg "Outerplanarity.run: need a connected graph";
@@ -149,29 +149,16 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
       | Some (_ :: second :: _), _ -> leader.(second) <- true
       | _ -> ())
     comp_paths;
-  (* Flat-path node encoder, preallocated once from the registry envelope so
-     a serve-path request never climbs the grow ladder. *)
-  let flat_cap =
-    match Bounds.find "outerplanarity" with
-    | Some row -> Bounds.envelope row ~n ~delta:(max 2 (Graph.max_degree g))
-    | None -> 64
-  in
-  let fenc = Bits_flat.Enc.create ~capacity:flat_cap 64 in
-  let r1_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc (Forest_encoding.to_bits ~cbits enc.(v));
-    Bits_flat.Enc.bool fenc cut_bit.(v);
-    Bits_flat.Enc.bool fenc leader.(v);
-    Bits_flat.Enc.to_bits fenc
+  let lenc = Bounds.label_encoder codec "outerplanarity" ~n ~delta:(Graph.max_degree g) in
+  let r1_node v =
+    Bits_flat.Enc.reset lenc;
+    Bits_flat.Enc.bits lenc (Forest_encoding.to_bits ~cbits enc.(v));
+    Bits_flat.Enc.bool lenc cut_bit.(v);
+    Bits_flat.Enc.bool lenc leader.(v);
+    Bits_flat.Enc.to_bits lenc
   in
   (* dipp-refine: width <= 10*loglog + 10 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked ->
-             Bits.concat
-               [ Forest_encoding.to_bits ~cbits enc.(v); Bits.of_bool cut_bit.(v); Bits.of_bool leader.(v) ]
-         | Bits_flat.Flat -> r1_node_flat v));
+  Dip.record_prover meter (Array.init n r1_node);
 
   (* -------- verifier coins: ST coins + sep/lead samples --------------- *)
   let reps = max 2 (nb / 2) in
@@ -209,19 +196,15 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
   let sep_of v = if blk_of.(v) >= 0 then sep_tag blk_of.(v) else Bits.empty in
   let lead_of v = if blk_of.(v) >= 0 then lead_tag.(blk_of.(v)) else Bits.empty in
   let st_resp_bits = Spanning_tree_verify.response_to_bits ~tag_bits:4 st_resp in
-  let r3_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc st_resp_bits.(v);
-    Bits_flat.Enc.bits fenc (sep_of v);
-    Bits_flat.Enc.bits fenc (lead_of v);
-    Bits_flat.Enc.to_bits fenc
+  let r3_node v =
+    Bits_flat.Enc.reset lenc;
+    Bits_flat.Enc.bits lenc st_resp_bits.(v);
+    Bits_flat.Enc.bits lenc (sep_of v);
+    Bits_flat.Enc.bits lenc (lead_of v);
+    Bits_flat.Enc.to_bits lenc
   in
   (* dipp-refine: width <= 20*loglog + 20 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked -> Bits.concat [ st_resp_bits.(v); sep_of v; lead_of v ]
-         | Bits_flat.Flat -> r3_node_flat v));
+  Dip.record_prover meter (Array.init n r3_node);
 
   (* -------- per-component Theorem 6.1 runs ----------------------------- *)
   let comp_prover : Path_outerplanarity.prover =

@@ -52,6 +52,7 @@ val run :
   prover:prover ->
   instance ->
   result
-(** Theorem 1.3 on connected graphs.  [codec] selects the honest prover's
-    label serializer (byte-identical output either way); it is threaded
-    into every per-component {!Path_outerplanarity} run. *)
+(** Theorem 1.3 on connected graphs.  [codec] selects the label
+    cursor's backend ({!Bits_flat.Flat} by default); [Checked] is the
+    reference, and both write the same bytes.  It is threaded into every
+    per-component {!Path_outerplanarity} run. *)

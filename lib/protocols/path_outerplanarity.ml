@@ -78,7 +78,7 @@ let path_parents ~n path =
   List.iteri (fun i v -> if i > 0 then parent.(v) <- List.nth path (i - 1)) path;
   parent
 
-let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Checked) ~prover inst =
+let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat) ~prover inst =
   let g = inst.graph in
   let n = Graph.n g in
   if n = 0 then invalid_arg "Path_outerplanarity.run: empty graph";
@@ -89,14 +89,9 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Chec
   let nb = Fp.bit_width pa.Lr_sorting.Params.p in
   (* name strings have c * Theta(log log n) bits *)
   let el = Edge_labels.create g in
-  (* flat-codec node encoder, preallocated from the Bounds envelope so the
-     reset-reuse cycle never climbs the grow ladder *)
-  let flat_cap =
-    match Bounds.find "path_outerplanarity" with
-    | Some row -> Bounds.envelope row ~n:sizing_n ~delta:(max 2 (Graph.max_degree g))
-    | None -> 64
+  let lenc =
+    Bounds.label_encoder codec "path_outerplanarity" ~n:sizing_n ~delta:(Graph.max_degree g)
   in
-  let fenc = Bits_flat.Enc.create ~capacity:flat_cap 64 in
 
   (* -------- the claimed path ---------------------------------------- *)
   let true_witness =
@@ -232,55 +227,26 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Chec
   let r1_edge_bits e =
     let u, _ = e in
     let tail, _ = try Edge_map.find e orientation with Not_found -> (u, u) in
-    let w = Bits.Writer.create () in
-    Bits.Writer.bool w (is_path_edge (fst e) (snd e));
-    Bits.Writer.bool w (tail = fst e);
-    Bits.Writer.bool w (marked_tail_longest e);
-    Bits.Writer.bool w (marked_head_longest e);
-    Bits.Writer.contents w
+    Bits_flat.Enc.reset lenc;
+    Bits_flat.Enc.bool lenc (is_path_edge (fst e) (snd e));
+    Bits_flat.Enc.bool lenc (tail = fst e);
+    Bits_flat.Enc.bool lenc (marked_tail_longest e);
+    Bits_flat.Enc.bool lenc (marked_head_longest e);
+    Bits_flat.Enc.to_bits lenc
   in
-  let r1_edge_bits_flat e =
-    let u, _ = e in
-    let tail, _ = try Edge_map.find e orientation with Not_found -> (u, u) in
-    let fb = Bits_flat.Enc.create 4 in
-    Bits_flat.Enc.bool fb (is_path_edge (fst e) (snd e));
-    Bits_flat.Enc.bool fb (tail = fst e);
-    Bits_flat.Enc.bool fb (marked_tail_longest e);
-    Bits_flat.Enc.bool fb (marked_head_longest e);
-    Bits_flat.Enc.to_bits fb
-  in
-  let r1_edge_assignment =
-    Edge_labels.assign el ~width:4 (fun e ->
-        match codec with
-        | Bits_flat.Checked -> r1_edge_bits e
-        | Bits_flat.Flat -> r1_edge_bits_flat e)
-  in
+  let r1_edge_assignment = Edge_labels.assign el ~width:4 r1_edge_bits in
   let el_setup = Edge_labels.setup_labels el in
-  let r1_node_checked v =
-    Bits.concat
-      [
-        Forest_encoding.to_bits ~cbits enc.(v);
-        Bits.of_bool has_left.(v);
-        Bits.of_bool has_right.(v);
-        el_setup.(v);
-        r1_edge_assignment.(v);
-      ]
-  in
-  let r1_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc (Forest_encoding.to_bits ~cbits enc.(v));
-    Bits_flat.Enc.bool fenc has_left.(v);
-    Bits_flat.Enc.bool fenc has_right.(v);
-    Bits_flat.Enc.bits fenc el_setup.(v);
-    Bits_flat.Enc.bits fenc r1_edge_assignment.(v);
-    Bits_flat.Enc.to_bits fenc
+  let r1_node v =
+    Bits_flat.Enc.reset lenc;
+    Bits_flat.Enc.bits lenc (Forest_encoding.to_bits ~cbits enc.(v));
+    Bits_flat.Enc.bool lenc has_left.(v);
+    Bits_flat.Enc.bool lenc has_right.(v);
+    Bits_flat.Enc.bits lenc el_setup.(v);
+    Bits_flat.Enc.bits lenc r1_edge_assignment.(v);
+    Bits_flat.Enc.to_bits lenc
   in
   (* dipp-refine: width <= 20*loglog + 20 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked -> r1_node_checked v
-         | Bits_flat.Flat -> r1_node_flat v));
+  Dip.record_prover meter (Array.init n r1_node);
 
   (* -------- Round 2 (verifier): ST coins + name strings -------------- *)
   let reps = max 2 (nb / 2) in
@@ -313,71 +279,42 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Chec
         let succ =
           match Hashtbl.find_opt succ_of e with Some (Some k) -> Some (name_of k) | _ -> None
         in
-        let m_tail, m_head =
-          match codec with
-          | Bits_flat.Checked -> (marked_tail_longest e, marked_head_longest e)
-          | Bits_flat.Flat ->
-              (* round-3 readback of the round-1 edge label (bits 2 and 3 of
-                 the 4-bit frame); unchecked reads — dipp-refine proves the
-                 bounds against the constant frame width *)
-              let lbl = r1_edge_bits_flat e in
-              ( Bits_flat.unsafe_int lbl ~pos:2 ~width:1 = 1,
-                Bits_flat.unsafe_int lbl ~pos:3 ~width:1 = 1 )
-        in
+        let m_tail = marked_tail_longest e and m_head = marked_head_longest e in
         Edge_map.add e { tail; head; m_tail; m_head; name = name_of e; succ } acc)
       Edge_map.empty nonpath_edges
   in
-  let opt_pair_bits = function
-    | None -> Bits.concat [ Bits.of_bool false; Bits.of_string (String.make (2 * nb) '0') ]
-    | Some (a, b) -> Bits.concat [ Bits.of_bool true; a; b ]
-  in
   let zero_pair_pad = Bits.of_string (String.make (2 * nb) '0') in
-  let opt_pair_flat fb = function
+  let opt_pair = function
     | None ->
-        Bits_flat.Enc.bool fb false;
-        Bits_flat.Enc.bits fb zero_pair_pad
+        Bits_flat.Enc.bool lenc false;
+        Bits_flat.Enc.bits lenc zero_pair_pad
     | Some (a, b) ->
-        Bits_flat.Enc.bool fb true;
-        Bits_flat.Enc.bits fb a;
-        Bits_flat.Enc.bits fb b
+        Bits_flat.Enc.bool lenc true;
+        Bits_flat.Enc.bits lenc a;
+        Bits_flat.Enc.bits lenc b
   in
   let r3_edge_width = (2 * nb) + 1 + (2 * nb) in
   let r3_edge_bits e =
     match Edge_map.find_opt e edge_info with
-    | Some d -> Bits.concat [ fst d.name; snd d.name; opt_pair_bits d.succ ]
-    | None -> Bits.of_string (String.make r3_edge_width '0')
-  in
-  let r3_edge_bits_flat e =
-    match Edge_map.find_opt e edge_info with
     | Some d ->
-        let fb = Bits_flat.Enc.create r3_edge_width in
-        Bits_flat.Enc.bits fb (fst d.name);
-        Bits_flat.Enc.bits fb (snd d.name);
-        opt_pair_flat fb d.succ;
-        Bits_flat.Enc.to_bits fb
+        Bits_flat.Enc.reset lenc;
+        Bits_flat.Enc.bits lenc (fst d.name);
+        Bits_flat.Enc.bits lenc (snd d.name);
+        opt_pair d.succ;
+        Bits_flat.Enc.to_bits lenc
     | None -> Bits.of_string (String.make r3_edge_width '0')
   in
-  let r3_edges =
-    Edge_labels.assign el ~width:r3_edge_width (fun e ->
-        match codec with
-        | Bits_flat.Checked -> r3_edge_bits e
-        | Bits_flat.Flat -> r3_edge_bits_flat e)
-  in
+  let r3_edges = Edge_labels.assign el ~width:r3_edge_width r3_edge_bits in
   let st_resp_bits = Spanning_tree_verify.response_to_bits ~tag_bits:4 st_resp in
-  let r3_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc st_resp_bits.(v);
-    opt_pair_flat fenc (above_of_node v);
-    Bits_flat.Enc.bits fenc r3_edges.(v);
-    Bits_flat.Enc.to_bits fenc
+  let r3_node v =
+    Bits_flat.Enc.reset lenc;
+    Bits_flat.Enc.bits lenc st_resp_bits.(v);
+    opt_pair (above_of_node v);
+    Bits_flat.Enc.bits lenc r3_edges.(v);
+    Bits_flat.Enc.to_bits lenc
   in
   (* dipp-refine: width <= 40*loglog + 40 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked ->
-             Bits.concat [ st_resp_bits.(v); opt_pair_bits (above_of_node v); r3_edges.(v) ]
-         | Bits_flat.Flat -> r3_node_flat v));
+  Dip.record_prover meter (Array.init n r3_node);
 
   (* -------- LR-sorting sub-protocol (rounds 1-5, parallel) ----------- *)
   let lr_result =

@@ -57,6 +57,6 @@ val run :
 (** [param_n] sizes the random fields and name strings (defaults to the
     instance size); per-component callers pass the global node count so the
     soundness error is 1/polylog of the whole graph, as in the paper.
-    [codec] selects the label serializer: the checked {!Bits.Writer}
-    reference path (default) or the flat preallocated-buffer path — both
-    produce byte-identical labels, here and in the LR-sorting sub-run. *)
+    [codec] selects the label cursor's backend ({!Bits_flat.Flat} by
+    default); [Checked] is the reference, and both write the same bytes,
+    here and in the LR-sorting sub-run. *)

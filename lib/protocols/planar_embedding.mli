@@ -52,5 +52,7 @@ val run :
   instance ->
   result
 (** Requires a connected graph with at least one node.  [codec] selects
-    the honest prover's label serializer (byte-identical output either
-    way); it is threaded through the inner {!Path_outerplanarity} run. *)
+    the label cursor's backend ({!Bits_flat.Flat} by default); [Checked]
+    is the reference, and both write the same bytes.  This protocol's own
+    labels are finished bitstrings, so it only threads [codec] through
+    the inner {!Path_outerplanarity} run. *)

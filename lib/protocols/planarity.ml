@@ -13,7 +13,7 @@ let bits_for x =
   let rec go w = if 1 lsl w > x then w else go (w + 1) in
   max 1 (go 1)
 
-let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~prover inst =
+let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover inst =
   let g = inst.graph in
   let n = Graph.n g in
   if n = 0 || not (Traversal.is_connected g) then invalid_arg "Planarity.run: need a connected graph";
@@ -36,40 +36,23 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
     let rec find i = if r.(i) = u then i else find (i + 1) in
     find 0
   in
-  let edge_bits (u, v) =
-    Bits.concat [ Bits.of_int ~width:wd (rho_index u v); Bits.of_int ~width:wd (rho_index v u) ]
+  let lenc = Bounds.label_encoder codec "planarity" ~n ~delta:(Graph.max_degree g) in
+  let edge_label (u, v) =
+    Bits_flat.Enc.reset lenc;
+    Bits_flat.Enc.int lenc ~width:wd (rho_index u v);
+    Bits_flat.Enc.int lenc ~width:wd (rho_index v u);
+    Bits_flat.Enc.to_bits lenc
   in
-  let edge_bits_flat (u, v) =
-    let fb = Bits_flat.Enc.create (2 * wd) in
-    Bits_flat.Enc.int fb ~width:wd (rho_index u v);
-    Bits_flat.Enc.int fb ~width:wd (rho_index v u);
-    Bits_flat.Enc.to_bits fb
-  in
-  let assignment =
-    Edge_labels.assign el ~width:(2 * wd) (fun e ->
-        match codec with Bits_flat.Checked -> edge_bits e | Bits_flat.Flat -> edge_bits_flat e)
-  in
+  let assignment = Edge_labels.assign el ~width:(2 * wd) edge_label in
   let el_setup = Edge_labels.setup_labels el in
-  (* Flat-path node encoder, preallocated once from the registry envelope so
-     a serve-path request never climbs the grow ladder. *)
-  let flat_cap =
-    match Bounds.find "planarity" with
-    | Some row -> Bounds.envelope row ~n ~delta:(max 2 (Graph.max_degree g))
-    | None -> 64
-  in
-  let fenc = Bits_flat.Enc.create ~capacity:flat_cap 64 in
-  let r1_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc el_setup.(v);
-    Bits_flat.Enc.bits fenc assignment.(v);
-    Bits_flat.Enc.to_bits fenc
+  let r1_node v =
+    Bits_flat.Enc.reset lenc;
+    Bits_flat.Enc.bits lenc el_setup.(v);
+    Bits_flat.Enc.bits lenc assignment.(v);
+    Bits_flat.Enc.to_bits lenc
   in
   (* dipp-refine: width <= 16*loglog + 8*logdelta + 20 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked -> Bits.concat [ el_setup.(v); assignment.(v) ]
-         | Bits_flat.Flat -> r1_node_flat v));
+  Dip.record_prover meter (Array.init n r1_node);
   (* Each node reconstructs its clockwise order from the rho values it can
      read (all its incident edges' labels) and checks they form a
      permutation of 0..deg-1; then the embedded-planarity protocol runs. *)

@@ -33,6 +33,6 @@ val run :
   prover:prover ->
   instance ->
   result
-(** [codec] selects the honest prover's label serializer (checked
-    {!Bits.Writer} vs the flat {!Bits_flat.Enc} path, byte-identical
-    output); it is threaded through the inner {!Planar_embedding} run. *)
+(** [codec] selects the label cursor's backend ({!Bits_flat.Flat} by
+    default); [Checked] is the reference, and both write the same bytes.
+    It is threaded through the inner {!Planar_embedding} run. *)

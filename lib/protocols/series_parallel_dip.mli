@@ -49,6 +49,6 @@ val run :
   prover:prover ->
   instance ->
   result
-(** [codec] selects the honest prover's label serializer (byte-identical
-    output either way); it is threaded into every per-host
-    {!Path_outerplanarity} run. *)
+(** [codec] selects the label cursor's backend ({!Bits_flat.Flat} by
+    default); [Checked] is the reference, and both write the same bytes.
+    It is threaded into every per-host {!Path_outerplanarity} run. *)

@@ -9,7 +9,7 @@ type result = {
   transcript : (Dip.phase * Bits.t array) list;
 }
 
-let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~prover inst =
+let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover inst =
   let g = inst.graph in
   let n = Graph.n g in
   if n = 0 || not (Traversal.is_connected g) then invalid_arg "Treewidth2_dip.run: need a connected graph";
@@ -53,27 +53,15 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
     bc.Biconnectivity.components;
   let enc = Forest_encoding.encode g ~parent in
   let cbits = Forest_encoding.color_bits enc in
-  (* Flat-path node encoder, preallocated once from the registry envelope so
-     a serve-path request never climbs the grow ladder. *)
-  let flat_cap =
-    match Bounds.find "treewidth2_dip" with
-    | Some row -> Bounds.envelope row ~n ~delta:(max 2 (Graph.max_degree g))
-    | None -> 64
-  in
-  let fenc = Bits_flat.Enc.create ~capacity:flat_cap 64 in
-  let r1_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc (Forest_encoding.to_bits ~cbits enc.(v));
-    Bits_flat.Enc.bool fenc cut_bit.(v);
-    Bits_flat.Enc.to_bits fenc
+  let lenc = Bounds.label_encoder codec "treewidth2_dip" ~n ~delta:(Graph.max_degree g) in
+  let r1_node v =
+    Bits_flat.Enc.reset lenc;
+    Bits_flat.Enc.bits lenc (Forest_encoding.to_bits ~cbits enc.(v));
+    Bits_flat.Enc.bool lenc cut_bit.(v);
+    Bits_flat.Enc.to_bits lenc
   in
   (* dipp-refine: width <= 10*loglog + 10 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked ->
-             Bits.concat [ Forest_encoding.to_bits ~cbits enc.(v); Bits.of_bool cut_bit.(v) ]
-         | Bits_flat.Flat -> r1_node_flat v));
+  Dip.record_prover meter (Array.init n r1_node);
 
   let reps = max 2 (nb / 2) in
   let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent (Rng.split rng 1) in
@@ -95,18 +83,14 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Checked) ~pro
   in
   let tag_of v = if blk_of.(v) >= 0 then comp_tag blk_of.(v) else Bits.empty in
   let st_resp_bits = Spanning_tree_verify.response_to_bits ~tag_bits:4 st_resp in
-  let r3_node_flat v =
-    Bits_flat.Enc.reset fenc;
-    Bits_flat.Enc.bits fenc st_resp_bits.(v);
-    Bits_flat.Enc.bits fenc (tag_of v);
-    Bits_flat.Enc.to_bits fenc
+  let r3_node v =
+    Bits_flat.Enc.reset lenc;
+    Bits_flat.Enc.bits lenc st_resp_bits.(v);
+    Bits_flat.Enc.bits lenc (tag_of v);
+    Bits_flat.Enc.to_bits lenc
   in
   (* dipp-refine: width <= 20*loglog + 20 *)
-  Dip.record_prover meter
-    (Array.init n (fun v ->
-         match codec with
-         | Bits_flat.Checked -> Bits.concat [ st_resp_bits.(v); tag_of v ]
-         | Bits_flat.Flat -> r3_node_flat v));
+  Dip.record_prover meter (Array.init n r3_node);
 
   (* per-component series-parallel runs *)
   let comp_prover : Series_parallel_dip.prover =

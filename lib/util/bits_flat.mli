@@ -1,47 +1,44 @@
-(** Flat label codec: the allocation-free counterpart of {!Bits.Writer} /
-    {!Bits.Reader}.
+(** The label cursor: one encoder and one decoder interface that every
+    protocol writes its labels against, with the backend chosen by a
+    {!codec} when the cursor is created.
 
-    Encoding appends fields into one preallocated byte buffer with raw
-    index arithmetic; decoding walks a bit cursor over the source
-    bitstring's backing bytes.  The bit layout matches {!Bits} exactly, so
-    [Enc.to_bits] equals the checked writer's output byte for byte, and
-    [Dec] reads any checked-written label.  The checked path remains the
-    reference implementation; test_serve.ml holds the two together
-    differentially. *)
+    [Flat] appends fields into one preallocated byte buffer with raw index
+    arithmetic, and decodes by walking a bit cursor over the source
+    bitstring's backing bytes.  [Checked] delegates to {!Bits.Writer} /
+    {!Bits.Reader} and is the reference backend.  The bit layout is the
+    same under both, so [Enc.to_bits] returns the same bytes whichever
+    backend wrote them and either [Dec] reads any label.  test_serve.ml
+    holds the two backends together differentially, on honest and on
+    mutated labels. *)
 
 type codec = Checked | Flat
-(** Which label codec a protocol run uses.  [Checked] is the reference
-    {!Bits.Writer}/{!Bits.Reader} path; [Flat] is this module. *)
-
-val codec_of_string : string -> codec option
-(** ["checked"] / ["flat"]. *)
-
-val codec_name : codec -> string
+(** The cursor backend.  [Checked] is the reference
+    {!Bits.Writer}/{!Bits.Reader} path; [Flat] is the preallocated
+    buffer. *)
 
 module Enc : sig
   type t
 
-  val create : ?capacity:int -> int -> t
-  (** [create ?capacity cap] preallocates for [max cap capacity] bits.
-      The buffer grows by doubling if exceeded, so both are sizing hints,
-      not limits.  [capacity] is a preallocation floor for reset-reused
-      encoders — pass the protocol's registry envelope (see {!Bounds})
-      and the serve path never pays the grow ladder. *)
+  val create : codec -> ?capacity:int -> int -> t
+  (** [create codec ?capacity cap] starts an empty label.  Under [Flat] it
+      preallocates for [max cap capacity] bits; the buffer grows by
+      doubling if exceeded, so both are sizing hints, not limits.
+      [capacity] is a preallocation floor for reset-reused encoders: pass
+      the protocol's registry envelope (see {!Bounds}) and the serve path
+      never pays the grow ladder.  [Checked] ignores both. *)
 
   val reset : t -> unit
-  (** Rewind to empty for buffer reuse; O(1), no zero-fill. *)
+  (** Rewind to empty for reuse; O(1), no zero-fill. *)
 
   val bool : t -> bool -> unit
 
   val int : t -> width:int -> int -> unit
   (** Same contract as {!Bits.of_int}: requires [0 <= v < 2^width] and
-      [0 <= width <= 62]; raises [Invalid_argument] otherwise. *)
+      [0 <= width <= 62]; raises [Invalid_argument] otherwise, with the
+      same message under both backends. *)
 
   val bits : t -> Bits.t -> unit
   (** Append an existing bitstring. *)
-
-  val length : t -> int
-  (** Bits written since creation or the last {!reset}. *)
 
   val to_bits : t -> Bits.t
   (** Snapshot the written prefix as an immutable bitstring (copies). *)
@@ -50,16 +47,16 @@ end
 module Dec : sig
   type t
 
-  val of_bits : Bits.t -> t
-  (** Zero-copy: the decoder aliases the bitstring's backing buffer. *)
+  val of_bits : codec -> Bits.t -> t
+  (** Zero-copy under both backends: the cursor reads the bitstring in
+      place. *)
 
   val bool : t -> bool
   val int : t -> width:int -> int
-  val bits : t -> len:int -> Bits.t
 
   val remaining : t -> int
-  (** All reads raise {!Bits.Reader.Underflow} past the end, like the
-      checked reader — verifiers treat that as a malformed label. *)
+  (** All reads raise {!Bits.Reader.Underflow} past the end under both
+      backends; verifiers treat that as a malformed label. *)
 end
 
 val read_int : Bits.t -> pos:int -> width:int -> int

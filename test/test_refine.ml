@@ -289,7 +289,7 @@ let test_flat_read_gate () =
      prefix proves through the to_bits transfer *)
   let ok =
     "let run _n =\n\
-    \  let e = Bits_flat.Enc.create 16 in\n\
+    \  let e = Bits_flat.Enc.create Bits_flat.Flat 16 in\n\
     \  Bits_flat.Enc.int e ~width:8 0;\n\
     \  Bits_flat.unsafe_int (Bits_flat.Enc.to_bits e) ~pos:1 ~width:4\n"
   in
@@ -319,7 +319,7 @@ let test_flat_encoder_budget () =
       \  let meter = Dip.meter () in\n\
       \  Dip.record_prover meter\n\
       \    (Array.init n (fun _ ->\n\
-      \       let e = Bits_flat.Enc.create 8 in\n\
+      \       let e = Bits_flat.Enc.create Bits_flat.Flat 8 in\n\
       \       Bits_flat.Enc.int e ~width:%s 1;\n\
       \       Bits_flat.Enc.bool e true;\n\
       \       Bits_flat.Enc.to_bits e));\n\

@@ -1,13 +1,14 @@
-(* The batched verification service and its flat label codec: differential
-   flat-vs-checked equality (QCheck programs, envelope widths, the pinned
-   transcript corpus, full serve streams), response-log determinism across
-   DIPP_JOBS and cache settings against the committed golden stream,
-   malformed-request rejection, and the prepared-instance cache's
-   schedule-independent eviction boundary. *)
+(* The label cursor's two backends and the batched verification service:
+   differential Flat-vs-Checked equality (QCheck programs, envelope
+   widths, the pinned transcript corpus re-run on the Checked reference,
+   mutated LR-sorting labels replayed under both), response-log
+   determinism across DIPP_JOBS and cache settings against the committed
+   golden stream, malformed-request rejection, and the prepared-instance
+   cache's schedule-independent eviction boundary. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* ---- flat codec vs checked Writer/Reader ------------------------------ *)
+(* ---- Flat cursor vs checked Writer/Reader ----------------------------- *)
 
 (* a random "program" of int fields; both serializers must agree bit for
    bit, and both decoders must read the same values back *)
@@ -25,7 +26,7 @@ let prop_flat_encoder_matches_writer =
       let w = Bits.Writer.create () in
       List.iter (fun (width, v) -> Bits.Writer.int w ~width v) fields;
       let checked = Bits.Writer.contents w in
-      let e = Bits_flat.Enc.create 16 in
+      let e = Bits_flat.Enc.create Bits_flat.Flat 16 in
       List.iter (fun (width, v) -> Bits_flat.Enc.int e ~width v) fields;
       Bits.equal checked (Bits_flat.Enc.to_bits e))
 
@@ -37,7 +38,7 @@ let prop_flat_decoder_matches_reader =
       List.iter (fun (width, v) -> Bits.Writer.int w ~width v) fields;
       let b = Bits.Writer.contents w in
       let r = Bits.Reader.of_bits b in
-      let d = Bits_flat.Dec.of_bits b in
+      let d = Bits_flat.Dec.of_bits Bits_flat.Flat b in
       List.for_all
         (fun (width, v) ->
           let rv = Bits.Reader.int r ~width and dv = Bits_flat.Dec.int d ~width in
@@ -53,11 +54,11 @@ let prop_flat_reset_reuse =
     (fun (a, b) ->
       let a = values_of a and b = values_of b in
       let encode_fresh fields =
-        let e = Bits_flat.Enc.create 16 in
+        let e = Bits_flat.Enc.create Bits_flat.Flat 16 in
         List.iter (fun (width, v) -> Bits_flat.Enc.int e ~width v) fields;
         Bits_flat.Enc.to_bits e
       in
-      let e = Bits_flat.Enc.create 16 in
+      let e = Bits_flat.Enc.create Bits_flat.Flat 16 in
       List.iter (fun (width, v) -> Bits_flat.Enc.int e ~width v) a;
       ignore (Bits_flat.Enc.to_bits e);
       Bits_flat.Enc.reset e;
@@ -67,7 +68,7 @@ let prop_flat_reset_reuse =
 let test_envelope_width_roundtrips () =
   (* the width a label needs to meet each family's registry envelope, at a
      spread of sizes: encode/decode the boundary values at exactly those
-     widths through both codecs *)
+     widths through both backends *)
   let bits_for v =
     let rec go w = if v lsr w = 0 then w else go (w + 1) in
     max 1 (go 0)
@@ -87,7 +88,7 @@ let test_envelope_width_roundtrips () =
                   let w = Bits.Writer.create () in
                   Bits.Writer.int w ~width v;
                   let checked = Bits.Writer.contents w in
-                  let e = Bits_flat.Enc.create width in
+                  let e = Bits_flat.Enc.create Bits_flat.Flat width in
                   Bits_flat.Enc.int e ~width v;
                   Alcotest.(check bool)
                     (Printf.sprintf "%s n=%d width=%d v=%d encodes equal" row_id n width v)
@@ -109,13 +110,16 @@ let test_envelope_width_roundtrips () =
       "treewidth2_dip";
     ]
 
-(* ---- flat codec vs the pinned transcript corpus ----------------------- *)
+(* ---- the Checked reference vs the pinned transcript corpus ------------ *)
+
+(* test_trace re-records every corpus entry on the default (Flat) backend;
+   re-running them here on Checked holds the reference to the same bytes *)
 
 let corpus_seed = 7
 
 let check_frames_equal id (committed : (Dip.phase * Bits.t array) list)
-    (flat : (Dip.phase * Bits.t array) list) =
-  Alcotest.(check int) (id ^ " frame count") (List.length committed) (List.length flat);
+    (rerun : (Dip.phase * Bits.t array) list) =
+  Alcotest.(check int) (id ^ " frame count") (List.length committed) (List.length rerun);
   List.iteri
     (fun i ((ph_c, fr_c), (ph_f, fr_f)) ->
       Alcotest.(check bool) (Printf.sprintf "%s frame %d phase" id i) true (ph_c = ph_f);
@@ -124,30 +128,30 @@ let check_frames_equal id (committed : (Dip.phase * Bits.t array) list)
       Array.iteri
         (fun v b ->
           if not (Bits.equal b fr_f.(v)) then
-            Alcotest.fail (Printf.sprintf "%s frame %d label %d differs under the flat codec" id i v))
+            Alcotest.fail (Printf.sprintf "%s frame %d label %d differs on re-run" id i v))
         fr_c)
-    (List.combine committed flat)
+    (List.combine committed rerun)
 
-let test_flat_matches_corpus_lr () =
-  (* E1 = lr_yes n=128 gseed=42 recorded at seed 7: re-running with the
-     flat codec must reproduce the committed frames byte for byte *)
+let test_checked_matches_corpus_lr () =
+  (* E1 = lr_yes n=128 gseed=42 recorded at seed 7: re-running on the
+     Checked backend must reproduce the committed frames byte for byte *)
   let committed = Trace.of_file "golden/trace/E1.trace" in
   let path, arcs = Gen.lr_yes ~n:128 42 in
   let inst = { Lr_sorting.n = 128; path; arcs } in
   let r =
-    Lr_sorting.run ~seed:corpus_seed ~retain:true ~codec:Bits_flat.Flat
+    Lr_sorting.run ~seed:corpus_seed ~retain:true ~codec:Bits_flat.Checked
       ~prover:Lr_sorting.Honest inst
   in
   check_frames_equal "E1" committed.Trace.frames r.Lr_sorting.transcript;
   Alcotest.(check bool) "E1 verdict" true r.Lr_sorting.verdict.Dip.accepted;
   Alcotest.(check bool) "E1 stats equal" true (committed.Trace.stats = r.Lr_sorting.stats)
 
-let test_flat_matches_corpus_po () =
+let test_checked_matches_corpus_po () =
   (* E3 = path_outerplanar n=200 gseed=11 recorded at seed 7 *)
   let committed = Trace.of_file "golden/trace/E3.trace" in
   let g, w = Gen.path_outerplanar ~n:200 11 in
   let r =
-    Path_outerplanarity.run ~seed:corpus_seed ~retain:true ~codec:Bits_flat.Flat
+    Path_outerplanarity.run ~seed:corpus_seed ~retain:true ~codec:Bits_flat.Checked
       ~prover:Path_outerplanarity.Honest
       { Path_outerplanarity.graph = g; witness = Some w }
   in
@@ -214,13 +218,13 @@ let composite_runs =
     );
   ]
 
-let test_flat_matches_corpus_composites () =
-  (* E4-E8: the five newly ported families, re-run under the flat codec
+let test_checked_matches_corpus_composites () =
+  (* E4-E8: the five composite families, re-run on the Checked backend
      against the committed frames (seed read back from the trace) *)
   List.iter
     (fun (id, run) ->
       let committed = Trace.of_file ("golden/trace/" ^ id ^ ".trace") in
-      let frames, accepted, stats = run ~codec:Bits_flat.Flat ~seed:committed.Trace.seed in
+      let frames, accepted, stats = run ~codec:Bits_flat.Checked ~seed:committed.Trace.seed in
       check_frames_equal id committed.Trace.frames frames;
       Alcotest.(check bool) (id ^ " verdict") true accepted;
       Alcotest.(check bool) (id ^ " stats equal") true (committed.Trace.stats = stats))
@@ -256,6 +260,67 @@ let test_flat_replay_cross_codec () =
   | Ok v -> Alcotest.(check bool) "checked replay of flat recording" true v.Dip.accepted
   | Error e -> Alcotest.fail ("checked replay diverged: " ^ e)
 
+(* ---- both backends on adversarial labels ----------------------------- *)
+
+(* Honest LR-sorting transcripts at a spread of sizes, recorded once. *)
+let lr_recordings =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (n, gseed) ->
+            let path, arcs = Gen.lr_yes ~n gseed in
+            let inst = { Lr_sorting.n; path; arcs } in
+            let r = Lr_sorting.run ~seed:gseed ~retain:true ~prover:Lr_sorting.Honest inst in
+            (inst, r.Lr_sorting.transcript))
+          [ (20, 1); (33, 2); (47, 3); (64, 4); (81, 5); (100, 6); (117, 7); (139, 8) ]))
+
+type mutation = Flip of int | Truncate of int | Extend of bool
+
+(* Flip one bit, cut the label to a shorter length, or append one bit. *)
+let mutate b = function
+  | Flip k when Bits.length b > 0 ->
+      let k = k mod Bits.length b in
+      Bits.of_string
+        (String.mapi (fun i c -> if i <> k then c else if c = '0' then '1' else '0') (Bits.to_string b))
+  | Truncate k when Bits.length b > 0 -> Bits.sub b ~pos:0 ~len:(k mod Bits.length b)
+  | Flip _ | Truncate _ -> Bits.of_bool true
+  | Extend bit -> Bits.append b (Bits.of_bool bit)
+
+type replayed = Verdict of Dip.verdict | Malformed of string | Escaped of string
+
+let replay_outcome codec inst frames =
+  match Lr_sorting.replay ~codec inst frames with
+  | Ok v -> Verdict v
+  | Error e -> Malformed e
+  | exception e -> Escaped (Printexc.to_string e)
+
+let prop_backends_agree_on_mutated_labels =
+  QCheck.Test.make ~name:"codec: mutated lr labels replay alike under both backends" ~count:1000
+    QCheck.(
+      quad (int_bound 7) (int_bound 4) (int_bound 10_000)
+        (pair (int_bound 2) (int_bound 10_000)))
+    (fun (which, frame, label, (kind, k)) ->
+      let inst, frames = (Lazy.force lr_recordings).(which) in
+      let mutation = match kind with 0 -> Flip k | 1 -> Truncate k | _ -> Extend (k land 1 = 1) in
+      let frames =
+        List.mapi
+          (fun i (phase, arr) ->
+            if i <> frame then (phase, arr)
+            else begin
+              let arr = Array.copy arr in
+              let j = label mod Array.length arr in
+              arr.(j) <- mutate arr.(j) mutation;
+              (phase, arr)
+            end)
+          frames
+      in
+      let checked = replay_outcome Bits_flat.Checked inst frames in
+      let flat = replay_outcome Bits_flat.Flat inst frames in
+      (match (checked, flat) with
+      | Escaped e, _ | _, Escaped e -> QCheck.Test.fail_reportf "an exception escaped replay: %s" e
+      | _ -> ());
+      checked = flat)
+
 (* ---- the serve stream ------------------------------------------------- *)
 
 let golden_stream () =
@@ -278,10 +343,10 @@ let golden_responses () =
   | [ d ] -> (Array.of_list log, String.sub d 8 (String.length d - 8))
   | _ -> Alcotest.fail "golden responses must end with one digest line"
 
-let run_stream ?jobs ?codec reqs =
+let run_stream ?jobs reqs =
   Label_cache.reset ();
   Serve.Prepared_cache.reset ();
-  let out = Serve.execute ?jobs ?codec reqs in
+  let out = Serve.execute ?jobs reqs in
   (Serve.response_log out, out)
 
 let test_serve_matches_golden () =
@@ -307,22 +372,7 @@ let test_serve_deterministic_across_jobs_and_cache () =
   let log_nc, _ = run_stream ~jobs:2 reqs in
   Unix.putenv "DIPP_LABEL_CACHE" "1";
   Alcotest.(check string) "digest with the label cache disabled" digest
-    (Serve.log_digest log_nc);
-  List.iter
-    (fun jobs ->
-      let log_flat, _ = run_stream ~jobs ~codec:Bits_flat.Flat reqs in
-      Alcotest.(check string)
-        (Printf.sprintf "digest under the flat codec at jobs=%d" jobs)
-        digest (Serve.log_digest log_flat))
-    [ 1; 2; 4 ]
-
-let test_serve_codecs_agree_everywhere () =
-  (* beyond the digest: the full response records must be equal *)
-  let reqs = golden_stream () in
-  let _, out_c = run_stream ~jobs:2 ~codec:Bits_flat.Checked reqs in
-  let _, out_f = run_stream ~jobs:2 ~codec:Bits_flat.Flat reqs in
-  Alcotest.(check bool) "checked and flat responses structurally equal" true
-    (Array.map (fun o -> o.Serve.response) out_c = Array.map (fun o -> o.Serve.response) out_f)
+    (Serve.log_digest log_nc)
 
 let test_serve_cache_counters_deterministic () =
   let reqs = golden_stream () in
@@ -495,15 +545,16 @@ let () =
           qtest prop_flat_decoder_matches_reader;
           qtest prop_flat_reset_reuse;
           Alcotest.test_case "envelope-width roundtrips" `Quick test_envelope_width_roundtrips;
+          qtest prop_backends_agree_on_mutated_labels;
         ] );
       ( "corpus",
         [
-          Alcotest.test_case "E1 frames byte-identical under flat" `Quick
-            test_flat_matches_corpus_lr;
-          Alcotest.test_case "E3 frames byte-identical under flat" `Quick
-            test_flat_matches_corpus_po;
-          Alcotest.test_case "E4-E8 frames byte-identical under flat" `Quick
-            test_flat_matches_corpus_composites;
+          Alcotest.test_case "E1 frames byte-identical on checked" `Quick
+            test_checked_matches_corpus_lr;
+          Alcotest.test_case "E3 frames byte-identical on checked" `Quick
+            test_checked_matches_corpus_po;
+          Alcotest.test_case "E4-E8 frames byte-identical on checked" `Quick
+            test_checked_matches_corpus_composites;
           Alcotest.test_case "cross-codec replay" `Quick test_flat_replay_cross_codec;
           Alcotest.test_case "cross-codec re-execution (composites)" `Quick
             test_cross_codec_reexecution_composites;
@@ -513,8 +564,6 @@ let () =
           Alcotest.test_case "matches committed golden responses" `Quick test_serve_matches_golden;
           Alcotest.test_case "digest stable across jobs and caches" `Quick
             test_serve_deterministic_across_jobs_and_cache;
-          Alcotest.test_case "codecs agree on full responses" `Quick
-            test_serve_codecs_agree_everywhere;
           Alcotest.test_case "cache counters schedule-independent" `Quick
             test_serve_cache_counters_deterministic;
         ] );

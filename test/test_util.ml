@@ -69,16 +69,20 @@ let test_bits_flat_range_errors () =
   Alcotest.check_raises "flat negative slice position"
     (Invalid_argument "Bits_flat.read_int: slice [-1, -1+2) out of range for length 5")
     (fun () -> ignore (Bits_flat.read_int b ~pos:(-1) ~width:2));
-  let d = Bits_flat.Dec.of_bits b in
-  Alcotest.check_raises "flat decoder underflow is Reader.Underflow" Bits.Reader.Underflow
-    (fun () -> ignore (Bits_flat.Dec.int d ~width:6));
-  (* same terse convention as Bits.of_int, whose encoder these mirror *)
-  Alcotest.check_raises "flat encoder width validation"
-    (Invalid_argument "Bits_flat.Enc.int: width")
-    (fun () -> ignore (Bits_flat.Enc.int (Bits_flat.Enc.create 8) ~width:63 1));
-  Alcotest.check_raises "flat encoder value validation"
-    (Invalid_argument "Bits_flat.Enc.int: value")
-    (fun () -> ignore (Bits_flat.Enc.int (Bits_flat.Enc.create 8) ~width:2 4))
+  (* both cursor backends fail the same way *)
+  List.iter
+    (fun (name, codec) ->
+      let d = Bits_flat.Dec.of_bits codec b in
+      Alcotest.check_raises (name ^ " decoder underflow is Reader.Underflow") Bits.Reader.Underflow
+        (fun () -> ignore (Bits_flat.Dec.int d ~width:6));
+      (* same terse convention as Bits.of_int, whose encoder these mirror *)
+      Alcotest.check_raises (name ^ " encoder width validation")
+        (Invalid_argument "Bits_flat.Enc.int: width")
+        (fun () -> ignore (Bits_flat.Enc.int (Bits_flat.Enc.create codec 8) ~width:63 1));
+      Alcotest.check_raises (name ^ " encoder value validation")
+        (Invalid_argument "Bits_flat.Enc.int: value")
+        (fun () -> ignore (Bits_flat.Enc.int (Bits_flat.Enc.create codec 8) ~width:2 4)))
+    [ ("flat", Bits_flat.Flat); ("checked", Bits_flat.Checked) ]
 
 let test_bits_flat_agrees_with_checked () =
   (* in range, the flat reader agrees with the checked Reader bit for bit *)
@@ -91,7 +95,7 @@ let test_bits_flat_agrees_with_checked () =
   Alcotest.(check int) "read_int mid" 5 (Bits_flat.read_int b ~pos:8 ~width:3);
   Alcotest.(check int) "unsafe_int agrees in range" (Bits_flat.read_int b ~pos:1 ~width:9)
     (Bits_flat.unsafe_int b ~pos:1 ~width:9);
-  let d = Bits_flat.Dec.of_bits b in
+  let d = Bits_flat.Dec.of_bits Bits_flat.Flat b in
   Alcotest.(check int) "dec int" 93 (Bits_flat.Dec.int d ~width:7);
   Alcotest.(check bool) "dec bool" true (Bits_flat.Dec.bool d);
   Alcotest.(check int) "dec second int" 5 (Bits_flat.Dec.int d ~width:3);
@@ -106,11 +110,11 @@ let test_bits_flat_capacity_reuse () =
     Bits_flat.Enc.to_bits enc
   in
   let fresh fields =
-    encode (Bits_flat.Enc.create (List.fold_left (fun a (w, _) -> a + w) 0 fields)) fields
+    encode (Bits_flat.Enc.create Bits_flat.Flat (List.fold_left (fun a (w, _) -> a + w) 0 fields)) fields
   in
   let small = [ (3, 5); (1, 1) ] in
   let large = [ (30, 12345); (30, 999_999); (30, 7) ] in
-  let e = Bits_flat.Enc.create ~capacity:256 4 in
+  let e = Bits_flat.Enc.create Bits_flat.Flat ~capacity:256 4 in
   Alcotest.(check bool) "preallocated encoder, small label" true
     (Bits.equal (fresh small) (encode e small));
   Bits_flat.Enc.reset e;
@@ -121,7 +125,7 @@ let test_bits_flat_capacity_reuse () =
     (Bits.equal (fresh small) (encode e small));
   (* capacity smaller than the hint is inert, and overflowing both still
      grows transparently *)
-  let tiny = Bits_flat.Enc.create ~capacity:1 2 in
+  let tiny = Bits_flat.Enc.create Bits_flat.Flat ~capacity:1 2 in
   Alcotest.(check bool) "growth past hint and capacity" true
     (Bits.equal (fresh large) (encode tiny large))
 
