@@ -3,9 +3,8 @@
    measured record of every experiment.
 
    Usage:
-     dune exec bench/main.exe            all experiments + timings
+     dune exec bench/main.exe            all experiments
      dune exec bench/main.exe e1 .. e11  a single experiment
-     dune exec bench/main.exe timing     bechamel wall-clock benches
      dune exec bench/main.exe bounds     claim-vs-measured bounds_report.json
      dune exec bench/main.exe -- trials [--jobs N]
                                          engine soundness trials + trials_report.json
@@ -397,72 +396,6 @@ let e11 () =
       Printf.printf "  -> series-parallel(T1.6) #%d: host-ear nesting runs=%d\n" i
         (List.length cr.Series_parallel_dip.host_results))
     r.Treewidth2_dip.component_results
-
-(* ------------------------------------------------------------------ *)
-(* bechamel wall-clock benches                                          *)
-(* ------------------------------------------------------------------ *)
-
-let timing () =
-  header "Timing (bechamel, monotonic clock, ns/run)";
-  let open Bechamel in
-  let open Toolkit in
-  let lr_inst =
-    let path, arcs = Gen.lr_yes ~n:1024 7 in
-    { Lr_sorting.n = 1024; path; arcs }
-  in
-  let po_inst =
-    let g, w = Gen.path_outerplanar ~n:512 7 in
-    { Path_outerplanarity.graph = g; witness = Some w }
-  in
-  let pe_inst =
-    let g = Gen.planar ~n:200 7 in
-    { Planar_embedding.graph = g; rot = Option.get (Gen.embedding g) }
-  in
-  let op_graph = Gen.outerplanar ~blocks:8 7 in
-  let sp_inst =
-    let tr, g = Gen.series_parallel ~size:100 7 in
-    { Series_parallel_dip.graph = g; ears = Some (Series_parallel.ears_of_sp tr) }
-  in
-  let pl_graph = Gen.planar ~n:200 7 in
-  let tests =
-    Test.make_grouped ~name:"dipp" ~fmt:"%s %s"
-      [
-        Test.make ~name:"lr-sorting/1024"
-          (Staged.stage (fun () -> ignore (Lr_sorting.run ~seed:1 ~prover:Lr_sorting.Honest lr_inst)));
-        Test.make ~name:"path-outerplanarity/512"
-          (Staged.stage (fun () ->
-               ignore (Path_outerplanarity.run ~seed:1 ~prover:Path_outerplanarity.Honest po_inst)));
-        Test.make ~name:"planar-embedding/200"
-          (Staged.stage (fun () ->
-               ignore (Planar_embedding.run ~seed:1 ~prover:Planar_embedding.Honest pe_inst)));
-        Test.make ~name:"planarity/200"
-          (Staged.stage (fun () ->
-               ignore (Planarity.run ~seed:1 ~prover:Planarity.Honest { Planarity.graph = pl_graph })));
-        Test.make ~name:"outerplanarity/8-blocks"
-          (Staged.stage (fun () ->
-               ignore
-                 (Outerplanarity.run ~seed:1 ~prover:Outerplanarity.Honest
-                    { Outerplanarity.graph = op_graph })));
-        Test.make ~name:"series-parallel/100"
-          (Staged.stage (fun () ->
-               ignore (Series_parallel_dip.run ~seed:1 ~prover:Series_parallel_dip.Honest sp_inst)));
-        Test.make ~name:"dmp-embed/200" (Staged.stage (fun () -> ignore (Planar_test.embed pl_graph)));
-      ]
-  in
-  let benchmark () =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) () in
-    let raw = Benchmark.all cfg instances tests in
-    Analyze.all ols Instance.monotonic_clock raw
-  in
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "%-36s %12.0f ns/run  (%8.2f ms)\n" name est (est /. 1e6)
-      | _ -> Printf.printf "%-36s (no estimate)\n" name)
-    results
 
 (* ------------------------------------------------------------------ *)
 (* Open questions (paper, end of section 1)                             *)
@@ -1111,7 +1044,6 @@ let commands =
     ("e11", "reduction chart (Figure 2) sub-protocol traces", e11);
     ("ablation", "design-choice ablations A1-A3", ablation);
     ("open-questions", "per-round communication breakdown", open_questions);
-    ("timing", "bechamel wall-clock benches", timing);
     ("bounds", "claim-vs-measured bounds_report.json", bounds);
     ("trials", "engine soundness trials -> trials_report.json", trials);
     ("faults", "fault-injection sweep -> faults_report.json", faults);

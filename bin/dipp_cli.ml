@@ -131,32 +131,32 @@ let report name (verdict : Dip.verdict) (stats : Dip.stats) =
     exit 1
   end
 
+let prove_graph prop g ~seed =
+  match prop with
+  | `Path_outerplanar ->
+      let r =
+        Path_outerplanarity.run ~seed ~prover:Path_outerplanarity.Honest
+          { Path_outerplanarity.graph = g; witness = None }
+      in
+      report "path-outerplanarity DIP (Thm 1.2)" r.Path_outerplanarity.verdict r.Path_outerplanarity.stats
+  | `Outerplanar ->
+      let r = Outerplanarity.run ~seed ~prover:Outerplanarity.Honest { Outerplanarity.graph = g } in
+      report "outerplanarity DIP (Thm 1.3)" r.Outerplanarity.verdict r.Outerplanarity.stats
+  | `Planar ->
+      let r = Planarity.run ~seed ~prover:Planarity.Honest { Planarity.graph = g } in
+      report "planarity DIP (Thm 1.5)" r.Planarity.verdict r.Planarity.stats
+  | `Sp ->
+      let r =
+        Series_parallel_dip.run ~seed ~prover:Series_parallel_dip.Honest
+          { Series_parallel_dip.graph = g; ears = None }
+      in
+      report "series-parallel DIP (Thm 1.6)" r.Series_parallel_dip.verdict r.Series_parallel_dip.stats
+  | `Tw2 ->
+      let r = Treewidth2_dip.run ~seed ~prover:Treewidth2_dip.Honest { Treewidth2_dip.graph = g } in
+      report "treewidth<=2 DIP (Thm 1.7)" r.Treewidth2_dip.verdict r.Treewidth2_dip.stats
+
 let prove_cmd =
-  let run file prop seed =
-    let g = Graph_io.read_file file in
-    match prop with
-    | `Path_outerplanar ->
-        let r =
-          Path_outerplanarity.run ~seed ~prover:Path_outerplanarity.Honest
-            { Path_outerplanarity.graph = g; witness = None }
-        in
-        report "path-outerplanarity DIP (Thm 1.2)" r.Path_outerplanarity.verdict r.Path_outerplanarity.stats
-    | `Outerplanar ->
-        let r = Outerplanarity.run ~seed ~prover:Outerplanarity.Honest { Outerplanarity.graph = g } in
-        report "outerplanarity DIP (Thm 1.3)" r.Outerplanarity.verdict r.Outerplanarity.stats
-    | `Planar ->
-        let r = Planarity.run ~seed ~prover:Planarity.Honest { Planarity.graph = g } in
-        report "planarity DIP (Thm 1.5)" r.Planarity.verdict r.Planarity.stats
-    | `Sp ->
-        let r =
-          Series_parallel_dip.run ~seed ~prover:Series_parallel_dip.Honest
-            { Series_parallel_dip.graph = g; ears = None }
-        in
-        report "series-parallel DIP (Thm 1.6)" r.Series_parallel_dip.verdict r.Series_parallel_dip.stats
-    | `Tw2 ->
-        let r = Treewidth2_dip.run ~seed ~prover:Treewidth2_dip.Honest { Treewidth2_dip.graph = g } in
-        report "treewidth<=2 DIP (Thm 1.7)" r.Treewidth2_dip.verdict r.Treewidth2_dip.stats
-  in
+  let run file prop seed = prove_graph prop (Graph_io.read_file file) ~seed in
   Cmd.v
     (Cmd.info "prove" ~doc:"Run the 5-round interactive proof on a graph from a file.")
     Term.(const run $ file_arg $ property_arg $ seed_arg)
@@ -166,31 +166,16 @@ let prove_cmd =
 let certify_cmd =
   let cheat_arg = Arg.(value & flag & info [ "cheat" ] ~doc:"Use a no-instance with a cheating prover.") in
   let run family n seed cheat =
-    if not cheat then begin
-      let g = gen_graph family ~n ~seed in
-      match family with
-      | `Planar | `Nonplanar ->
-          let r = Planarity.run ~seed ~prover:Planarity.Honest { Planarity.graph = g } in
-          report "planarity DIP" r.Planarity.verdict r.Planarity.stats
-      | `Path_outerplanar | `Crossing ->
-          let r =
-            Path_outerplanarity.run ~seed ~prover:Path_outerplanarity.Honest
-              { Path_outerplanarity.graph = g; witness = None }
-          in
-          report "path-outerplanarity DIP" r.Path_outerplanarity.verdict r.Path_outerplanarity.stats
-      | `Outerplanar ->
-          let r = Outerplanarity.run ~seed ~prover:Outerplanarity.Honest { Outerplanarity.graph = g } in
-          report "outerplanarity DIP" r.Outerplanarity.verdict r.Outerplanarity.stats
-      | `Sp ->
-          let r =
-            Series_parallel_dip.run ~seed ~prover:Series_parallel_dip.Honest
-              { Series_parallel_dip.graph = g; ears = None }
-          in
-          report "series-parallel DIP" r.Series_parallel_dip.verdict r.Series_parallel_dip.stats
-      | `Tw2 ->
-          let r = Treewidth2_dip.run ~seed ~prover:Treewidth2_dip.Honest { Treewidth2_dip.graph = g } in
-          report "treewidth<=2 DIP" r.Treewidth2_dip.verdict r.Treewidth2_dip.stats
-    end
+    if not cheat then
+      (* honest: the property each generator family is named for; the
+         no-instance families run the honest DIP they fail *)
+      let prop =
+        match family with
+        | `Nonplanar -> `Planar
+        | `Crossing -> `Path_outerplanar
+        | (`Path_outerplanar | `Outerplanar | `Planar | `Sp | `Tw2) as p -> p
+      in
+      prove_graph prop (gen_graph family ~n ~seed) ~seed
     else begin
       (* no-instance + the matching adversary; a REJECT is the expected
          (successful) outcome, so exit 0 on rejection *)
@@ -423,6 +408,13 @@ let net_run_cmd =
              verification).")
   in
   let run file proto_kind shards jobs partition_seed model_name rate seed =
+    let model =
+      match Fault.by_name model_name ~rate with
+      | Ok m -> m
+      | Error msg ->
+          Printf.eprintf "net: %s\n" msg;
+          exit 2
+    in
     let g = Graph_io.read_file file in
     let parent =
       let p = Traversal.spanning_tree g 0 in
@@ -432,13 +424,6 @@ let net_run_cmd =
       match proto_kind with
       | `Pls -> Net_protocols.pls_spanning_tree ~graph:g ~parent
       | `St -> Net_protocols.st_verify ~seed g ~parent
-    in
-    let model =
-      match Fault.by_name model_name ~rate with
-      | Some m -> m
-      | None ->
-          Printf.eprintf "unknown fault model %s\n" model_name;
-          exit 2
     in
     let rng = Rng.create seed in
     let r, st = Shard.execute_ex ?shards ?jobs ~partition_seed ~rng ~model proto in

@@ -61,9 +61,10 @@ module Shard = Dipp_net.Shard
 module Net_protocols = Dipp_net.Net_protocols
 module Fault_sweep = Dipp_engine.Fault_sweep
 
-(* transcripts: record/replay + label cache *)
+(* transcripts: record/replay, label cache, honest family table *)
 module Trace = Dipp_trace.Trace
 module Label_cache = Dipp_trace.Label_cache
+module Family = Dipp_trace.Family
 module Serve = Dipp_serve.Serve
 module Trace_registry = Dipp_trace.Registry
 

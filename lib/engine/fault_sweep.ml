@@ -1,9 +1,8 @@
-open Dipp_protocols
 module Gen = Dipp_gen.Gen
 module Net = Dipp_net.Net
 module Fault = Dipp_net.Fault
 module Net_protocols = Dipp_net.Net_protocols
-module Label_cache = Dipp_trace.Label_cache
+module Family = Dipp_trace.Family
 
 let seed_bound = 0x3FFF_FFFF
 let draw_seed rng = Rng.int rng seed_bound
@@ -72,66 +71,25 @@ let mseq_family ~n =
           { Multiset_equality.tree; parent; s1; s2; k; universe });
   }
 
-let lr_family ~n =
+(* An honest run of a table family shipped over the checksummed
+   transport; [name] is both the point id prefix and the transport name.
+   [gseed] is drawn before [seed]: that draw order fixes each trial's
+   instance and coins, hence faults_report.json. *)
+let honest_family fam ~name ~n =
   {
-    fam_id = Printf.sprintf "lr-sorting/n%d" n;
+    fam_id = Printf.sprintf "%s/n%d" name n;
     build =
       (fun rng ->
-        let path, arcs = Gen.lr_yes ~n (draw_seed rng) in
-        let inst = { Lr_sorting.n; path; arcs } in
+        let gseed = draw_seed rng in
         let seed = draw_seed rng in
-        let verdict, stats =
-          Label_cache.find_or_run
-            ~key:
-              (Label_cache.key ~protocol:"lr_sorting" ~instance:(Label_cache.lr_key inst) ~seed)
-            (fun () ->
-              let r = Lr_sorting.run ~seed ~prover:Lr_sorting.Honest inst in
-              (r.Lr_sorting.verdict, r.Lr_sorting.stats))
-        in
-        Net_protocols.transport ~name:"lr-sorting"
-          ~graph:(Lr_sorting.underlying_graph inst)
-          ~stats ~verdict);
+        let inst = fam.Family.build ~n ~gseed in
+        let verdict, stats = Family.honest fam inst ~seed in
+        Net_protocols.transport ~name ~graph:(inst.Family.graph ()) ~stats ~verdict);
   }
 
-let po_family ~n =
-  {
-    fam_id = Printf.sprintf "path-outerplanarity/n%d" n;
-    build =
-      (fun rng ->
-        let g, w = Gen.path_outerplanar ~n (draw_seed rng) in
-        let seed = draw_seed rng in
-        let instance =
-          Label_cache.graph_key g ^ "|w:" ^ String.concat "," (List.map string_of_int w)
-        in
-        let verdict, stats =
-          Label_cache.find_or_run
-            ~key:(Label_cache.key ~protocol:"path_outerplanarity" ~instance ~seed)
-            (fun () ->
-              let r =
-                Path_outerplanarity.run ~seed ~prover:Path_outerplanarity.Honest
-                  { Path_outerplanarity.graph = g; witness = Some w }
-              in
-              (r.Path_outerplanarity.verdict, r.Path_outerplanarity.stats))
-        in
-        Net_protocols.transport ~name:"path-outerplanarity" ~graph:g ~stats ~verdict);
-  }
-
-let planarity_family ~n =
-  {
-    fam_id = Printf.sprintf "planarity/n%d" n;
-    build =
-      (fun rng ->
-        let g = Gen.planar ~n (draw_seed rng) in
-        let seed = draw_seed rng in
-        let verdict, stats =
-          Label_cache.find_or_run
-            ~key:(Label_cache.key ~protocol:"planarity" ~instance:(Label_cache.graph_key g) ~seed)
-            (fun () ->
-              let r = Planarity.run ~seed ~prover:Planarity.Honest { Planarity.graph = g } in
-              (r.Planarity.verdict, r.Planarity.stats))
-        in
-        Net_protocols.transport ~name:"planarity" ~graph:g ~stats ~verdict);
-  }
+let lr_family ~n = honest_family Family.lr ~name:"lr-sorting" ~n
+let po_family ~n = honest_family Family.path_outerplanarity ~name:"path-outerplanarity" ~n
+let planarity_family ~n = honest_family Family.planarity ~name:"planarity" ~n
 
 let default_families () =
   [

@@ -25,14 +25,16 @@ val mseq_family : n:int -> family
     instance). *)
 
 val lr_family : n:int -> family
-(** Checksummed-transport wrapper over an honest E4 LR-sorting run. *)
+(** Checksummed-transport wrapper over an honest LR-sorting run
+    ({!Dipp_trace.Family.lr}, experiments E1/E2). *)
 
 val po_family : n:int -> family
-(** Checksummed-transport wrapper over an honest E5 path-outerplanarity
-    run. *)
+(** Checksummed-transport wrapper over an honest path-outerplanarity run
+    ({!Dipp_trace.Family.path_outerplanarity}, experiment E3). *)
 
 val planarity_family : n:int -> family
-(** Checksummed-transport wrapper over an honest E8 planarity run. *)
+(** Checksummed-transport wrapper over an honest planarity run
+    ({!Dipp_trace.Family.planarity}, experiment E6). *)
 
 val default_families : unit -> family list
 (** The six families above, at the sizes the committed golden report

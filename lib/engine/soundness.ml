@@ -206,183 +206,53 @@ let e8 =
 
 (* ---- pooled completeness rows (one per family) ------------------------ *)
 
-(* Honest runs on a fixed pool of yes-instances: trial i replays pool entry
-   [i mod pool] with a pool-indexed protocol seed, so the (instance, seed)
-   pair repeats across trials and the content-addressed label cache
-   (lib/trace) can serve the repeats.  Pool constants are independent of
-   the experiment seed; the cached outcome equals the recomputed one, so
-   trials_report.json is byte-identical with the cache on or off.
-   Perfect completeness makes the expected rejection count exactly 0. *)
+(* Honest runs on a fixed pool of yes-instances from the family table:
+   trial i replays pool entry [i mod pool] with a pool-indexed protocol
+   seed, so the (instance, seed) pair repeats across trials and the
+   content-addressed label cache (Family.honest) can serve the repeats.
+   Pool constants are independent of the experiment seed; the cached
+   outcome equals the recomputed one, so trials_report.json is
+   byte-identical with the cache on or off.  Perfect completeness makes
+   the expected rejection count exactly 0. *)
 
-module Label_cache = Dipp_trace.Label_cache
+module Family = Dipp_trace.Family
 
 let pool = 4
 let completeness_trials = 32
 
-let completeness_spec ~id ~experiment ~family ~n ~(runs : (unit -> Spec.outcome) array) =
+let completeness_spec (experiment, label, n, fam, size, gseed, seed) =
+  let runs =
+    (* eager: Lazy.force is not domain-safe under Pool workers *)
+    Array.init pool (fun k ->
+        let inst = fam.Family.build ~n:size ~gseed:(gseed + k) in
+        fun () ->
+          let verdict, stats = Family.honest fam inst ~seed:(seed + k) in
+          { Spec.accepted = verdict.Dip.accepted; stats })
+  in
   {
-    Spec.id;
+    Spec.id = String.lowercase_ascii experiment ^ "/honest/pooled";
     experiment;
-    family;
+    family = Printf.sprintf "%s pool=%d" label pool;
     adversary = "honest-pooled";
     n;
     trials = completeness_trials;
-    trial = (fun _rng i -> Some (runs.(i mod Array.length runs) ()));
+    trial = (fun _rng i -> Some (runs.(i mod pool) ()));
   }
 
-let cached ~protocol ~instance ~seed run =
-  let verdict, stats =
-    Label_cache.find_or_run ~key:(Label_cache.key ~protocol ~instance ~seed) run
-  in
-  { Spec.accepted = verdict.Dip.accepted; stats }
+(* (experiment, family label, reported n, family, size, gseed base, seed
+   base); E4/E8 report their block count, built at n = 32 = 4 blocks *)
+let completeness =
+  List.map completeness_spec
+    [
+      ("E2", Printf.sprintf "lr-yes n=%d" lr_n, lr_n, Family.lr, lr_n, 100, 500);
+      ("E3", Printf.sprintf "path-outerplanar n=%d" po_n, po_n, Family.path_outerplanarity, po_n, 200, 600);
+      ("E4", "outerplanar blocks=4", 4, Family.outerplanarity, 32, 300, 700);
+      ("E5", Printf.sprintf "planar n=%d" pe_n, pe_n, Family.planar_embedding, pe_n, 400, 800);
+      ("E6", Printf.sprintf "planar n=%d" pl_n, pl_n, Family.planarity, pl_n, 500, 900);
+      ("E7", Printf.sprintf "sp size=%d" sp_size, sp_size, Family.series_parallel, sp_size, 600, 1000);
+      ("E8", "treewidth2 blocks=4", 4, Family.treewidth2, 32, 700, 1100);
+    ]
 
-let e2c =
-  let runs =
-    (* eager: Lazy.force is not domain-safe under Pool workers *)
-    Array.init pool (fun k ->
-           let path, arcs = Gen.lr_yes ~n:lr_n (100 + k) in
-           let inst = { Lr_sorting.n = lr_n; path; arcs } in
-           let instance = Label_cache.lr_key inst in
-           fun () ->
-             cached ~protocol:"lr_sorting" ~instance ~seed:(500 + k) (fun () ->
-                 let r = Lr_sorting.run ~seed:(500 + k) ~c:3 ~prover:Lr_sorting.Honest inst in
-                 (r.Lr_sorting.verdict, r.Lr_sorting.stats)))
-  in
-  completeness_spec ~id:"e2/honest/pooled" ~experiment:"E2"
-    ~family:(Printf.sprintf "lr-yes n=%d pool=%d" lr_n pool)
-    ~n:lr_n
-    ~runs
-
-let e3c =
-  let runs =
-    (* eager: Lazy.force is not domain-safe under Pool workers *)
-    Array.init pool (fun k ->
-           let g, w = Gen.path_outerplanar ~n:po_n (200 + k) in
-           let instance =
-             Label_cache.graph_key g ^ "|w:" ^ String.concat "," (List.map string_of_int w)
-           in
-           fun () ->
-             cached ~protocol:"path_outerplanarity" ~instance ~seed:(600 + k) (fun () ->
-                 let r =
-                   Path_outerplanarity.run ~seed:(600 + k) ~prover:Path_outerplanarity.Honest
-                     { Path_outerplanarity.graph = g; witness = Some w }
-                 in
-                 (r.Path_outerplanarity.verdict, r.Path_outerplanarity.stats)))
-  in
-  completeness_spec ~id:"e3/honest/pooled" ~experiment:"E3"
-    ~family:(Printf.sprintf "path-outerplanar n=%d pool=%d" po_n pool)
-    ~n:po_n
-    ~runs
-
-let e4c =
-  let runs =
-    (* eager: Lazy.force is not domain-safe under Pool workers *)
-    Array.init pool (fun k ->
-           let g = Gen.outerplanar ~blocks:4 (300 + k) in
-           let instance = Label_cache.graph_key g in
-           fun () ->
-             cached ~protocol:"outerplanarity" ~instance ~seed:(700 + k) (fun () ->
-                 let r =
-                   Outerplanarity.run ~seed:(700 + k) ~prover:Outerplanarity.Honest
-                     { Outerplanarity.graph = g }
-                 in
-                 (r.Outerplanarity.verdict, r.Outerplanarity.stats)))
-  in
-  completeness_spec ~id:"e4/honest/pooled" ~experiment:"E4" ~family:"outerplanar blocks=4 pool=4"
-    ~n:4
-    ~runs
-
-let e5c =
-  let runs =
-    (* eager: Lazy.force is not domain-safe under Pool workers *)
-    Array.init pool (fun k ->
-           let g = Gen.planar ~n:pe_n (400 + k) in
-           let rot =
-             match Gen.embedding g with
-             | Some r -> r
-             | None -> invalid_arg "Soundness: generated planar instance has no embedding"
-           in
-           let rot_key =
-             String.concat ";"
-               (Array.to_list
-                  (Array.map
-                     (fun row -> String.concat "," (List.map string_of_int (Array.to_list row)))
-                     rot.Rotation.rot))
-           in
-           let instance = Label_cache.graph_key g ^ "|rot:" ^ rot_key in
-           fun () ->
-             cached ~protocol:"planar_embedding" ~instance ~seed:(800 + k) (fun () ->
-                 let r =
-                   Planar_embedding.run ~seed:(800 + k) ~prover:Planar_embedding.Honest
-                     { Planar_embedding.graph = g; rot }
-                 in
-                 (r.Planar_embedding.verdict, r.Planar_embedding.stats)))
-  in
-  completeness_spec ~id:"e5/honest/pooled" ~experiment:"E5"
-    ~family:(Printf.sprintf "planar n=%d pool=%d" pe_n pool)
-    ~n:pe_n
-    ~runs
-
-let e6c =
-  let runs =
-    (* eager: Lazy.force is not domain-safe under Pool workers *)
-    Array.init pool (fun k ->
-           let g = Gen.planar ~n:pl_n (500 + k) in
-           let instance = Label_cache.graph_key g in
-           fun () ->
-             cached ~protocol:"planarity" ~instance ~seed:(900 + k) (fun () ->
-                 let r =
-                   Planarity.run ~seed:(900 + k) ~prover:Planarity.Honest { Planarity.graph = g }
-                 in
-                 (r.Planarity.verdict, r.Planarity.stats)))
-  in
-  completeness_spec ~id:"e6/honest/pooled" ~experiment:"E6"
-    ~family:(Printf.sprintf "planar n=%d pool=%d" pl_n pool)
-    ~n:pl_n
-    ~runs
-
-let e7c =
-  let runs =
-    (* eager: Lazy.force is not domain-safe under Pool workers *)
-    Array.init pool (fun k ->
-           let tr, g = Gen.series_parallel ~size:sp_size (600 + k) in
-           let ears = Series_parallel.ears_of_sp tr in
-           let ears_key =
-             String.concat ";"
-               (List.map (fun e -> String.concat "," (List.map string_of_int e)) ears)
-           in
-           let instance = Label_cache.graph_key g ^ "|ears:" ^ ears_key in
-           fun () ->
-             cached ~protocol:"series_parallel_dip" ~instance ~seed:(1000 + k) (fun () ->
-                 let r =
-                   Series_parallel_dip.run ~seed:(1000 + k) ~prover:Series_parallel_dip.Honest
-                     { Series_parallel_dip.graph = g; ears = Some ears }
-                 in
-                 (r.Series_parallel_dip.verdict, r.Series_parallel_dip.stats)))
-  in
-  completeness_spec ~id:"e7/honest/pooled" ~experiment:"E7"
-    ~family:(Printf.sprintf "sp size=%d pool=%d" sp_size pool)
-    ~n:sp_size
-    ~runs
-
-let e8c =
-  let runs =
-    (* eager: Lazy.force is not domain-safe under Pool workers *)
-    Array.init pool (fun k ->
-           let g = Gen.treewidth2 ~blocks:4 (700 + k) in
-           let instance = Label_cache.graph_key g in
-           fun () ->
-             cached ~protocol:"treewidth2_dip" ~instance ~seed:(1100 + k) (fun () ->
-                 let r =
-                   Treewidth2_dip.run ~seed:(1100 + k) ~prover:Treewidth2_dip.Honest
-                     { Treewidth2_dip.graph = g }
-                 in
-                 (r.Treewidth2_dip.verdict, r.Treewidth2_dip.stats)))
-  in
-  completeness_spec ~id:"e8/honest/pooled" ~experiment:"E8" ~family:"treewidth2 blocks=4 pool=4"
-    ~n:4
-    ~runs
-
-let specs = e2 @ [ e2c ] @ e3 @ [ e3c ] @ e4 @ [ e4c ] @ e5 @ [ e5c ] @ e6 @ [ e6c ] @ e7 @ [ e7c ] @ e8 @ [ e8c ]
+let specs = List.concat (List.map2 (fun adv c -> adv @ [ c ]) [ e2; e3; e4; e5; e6; e7; e8 ] completeness)
 let by_experiment tag = List.filter (fun s -> String.equal s.Spec.experiment tag) specs
 let find id = List.find_opt (fun s -> String.equal s.Spec.id id) specs

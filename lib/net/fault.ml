@@ -29,15 +29,18 @@ let chaos ~rate =
   }
 
 let by_name name ~rate =
-  match name with
-  | "reliable" -> Some reliable
-  | "drop" -> Some (drop ~rate)
-  | "corrupt" -> Some (corrupt ~rate)
-  | "duplicate" -> Some (duplicate ~rate)
-  | "delay" -> Some (delay ~rate ())
-  | "crash" -> Some (crash ~rate)
-  | "chaos" -> Some (chaos ~rate)
-  | _ -> None
+  if not (Float.is_finite rate && rate >= 0. && rate <= 1.) then
+    Error (Printf.sprintf "fault rate %g is not a probability in [0, 1]" rate)
+  else
+    match name with
+    | "reliable" -> Ok reliable
+    | "drop" -> Ok (drop ~rate)
+    | "corrupt" -> Ok (corrupt ~rate)
+    | "duplicate" -> Ok (duplicate ~rate)
+    | "delay" -> Ok (delay ~rate ())
+    | "crash" -> Ok (crash ~rate)
+    | "chaos" -> Ok (chaos ~rate)
+    | _ -> Error (Printf.sprintf "unknown fault model %s" name)
 
 (* A probability draw consumes exactly one Rng.int from the stream, so the
    draw sequence of a transmission is a fixed function of the stream alone. *)

@@ -34,8 +34,10 @@ val crash : rate:float -> model
 val chaos : rate:float -> model
 (** All five fault kinds at once, each scaled from [rate]. *)
 
-val by_name : string -> rate:float -> model option
-(** Resolve a model by its [name] field (CLI/report front end). *)
+val by_name : string -> rate:float -> (model, string) Stdlib.result
+(** Resolve a model by its [name] field (CLI/report front end).  [Error]
+    names an unknown model, or a [rate] that is not finite or lies
+    outside [0, 1]. *)
 
 type delivery = { at : int; payload : Bits.t; corrupted : bool }
 

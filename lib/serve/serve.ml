@@ -1,11 +1,13 @@
 (* Batched verification service.
 
    Consumes a stream of (family, instance parameters, seed) verification
-   requests and answers them at maximum throughput: instance construction
-   (graph generation, witness extraction) is amortized across requests
-   sharing a topology via a content-addressed prepared-instance cache,
-   honest-prover executions are memoized through Label_cache, and batches
-   fan out over the Domain pool.
+   requests and answers them at maximum throughput.  The families are the
+   rows of the family table (Family.all): a request names one, and its
+   (n, gseed) builds the instance.  Instance construction (graph
+   generation, witness extraction) is amortized across requests sharing a
+   topology via a content-addressed prepared-instance cache, honest-prover
+   executions are memoized through Family.honest (the label cache), and
+   batches fan out over the Domain pool.
 
    Determinism contract: the response log (and its digest) is a pure
    function of the request stream — identical for every DIPP_JOBS value,
@@ -14,9 +16,7 @@
    workers therefore never print and only touch shared state through the
    two mutex-guarded caches. *)
 
-module Gen = Dipp_gen.Gen
-module Trace = Dipp_trace.Trace
-module Label_cache = Dipp_trace.Label_cache
+module Family = Dipp_trace.Family
 
 type request = {
   family : string;
@@ -39,202 +39,14 @@ type outcome = { response : response; latency_s : float }
 
 (* ---- families --------------------------------------------------------- *)
 
-type prepared = {
-  instance_key : string;  (* content address of the constructed instance *)
-  nodes : int;
-  exec : seed:int -> Dip.verdict * Dip.stats;
-}
-
-type family = {
-  name : string;
-  bounds_row : string;  (* row id in the Bounds registry *)
-  min_n : int;
-  prepare : n:int -> gseed:int -> prepared;
-}
-
-let content_key ~name ~n ~gseed ~digest =
-  Sha256.hex
-    (String.concat "\x00" [ name; string_of_int n; string_of_int gseed; digest ])
-
-(* Size parameters feed the generators the same way the trace registry's
-   pinned entries do; block-built families scale their block count with n
-   so a request's n stays the one knob for instance size. *)
-let blocks_of_n n = max 1 (n / 8)
-
-let lr_family =
-  {
-    name = "lr";
-    bounds_row = "lr_sorting";
-    min_n = 4;
-    prepare =
-      (fun ~n ~gseed ->
-        let path, arcs = Gen.lr_yes ~n gseed in
-        let inst = { Lr_sorting.n; path; arcs } in
-        {
-          instance_key = content_key ~name:"lr" ~n ~gseed ~digest:(Label_cache.lr_key inst);
-          nodes = n;
-          exec =
-            (fun ~seed ->
-              let r = Lr_sorting.run ~seed ~prover:Lr_sorting.Honest inst in
-              (r.Lr_sorting.verdict, r.Lr_sorting.stats));
-        })
-  }
-
-let po_family =
-  {
-    name = "path_outerplanarity";
-    bounds_row = "path_outerplanarity";
-    min_n = 4;
-    prepare =
-      (fun ~n ~gseed ->
-        let g, w = Gen.path_outerplanar ~n gseed in
-        {
-          instance_key =
-            content_key ~name:"path_outerplanarity" ~n ~gseed ~digest:(Trace.graph_digest g);
-          nodes = Graph.n g;
-          exec =
-            (fun ~seed ->
-              let r =
-                Path_outerplanarity.run ~seed ~prover:Path_outerplanarity.Honest
-                  { Path_outerplanarity.graph = g; witness = Some w }
-              in
-              (r.Path_outerplanarity.verdict, r.Path_outerplanarity.stats));
-        })
-  }
-
-let outerplanarity_family =
-  {
-    name = "outerplanarity";
-    bounds_row = "outerplanarity";
-    min_n = 8;
-    prepare =
-      (fun ~n ~gseed ->
-        let g = Gen.outerplanar ~blocks:(blocks_of_n n) gseed in
-        {
-          instance_key =
-            content_key ~name:"outerplanarity" ~n ~gseed ~digest:(Trace.graph_digest g);
-          nodes = Graph.n g;
-          exec =
-            (fun ~seed ->
-              let r =
-                Outerplanarity.run ~seed ~prover:Outerplanarity.Honest
-                  { Outerplanarity.graph = g }
-              in
-              (r.Outerplanarity.verdict, r.Outerplanarity.stats));
-        })
-  }
-
-let planar_embedding_family =
-  {
-    name = "planar_embedding";
-    bounds_row = "planar_embedding";
-    min_n = 4;
-    prepare =
-      (fun ~n ~gseed ->
-        let g = Gen.planar ~n gseed in
-        let rot =
-          match Gen.embedding g with
-          | Some rot -> rot
-          | None -> invalid_arg "Serve: planar instance has no embedding"
-        in
-        {
-          instance_key =
-            content_key ~name:"planar_embedding" ~n ~gseed ~digest:(Trace.graph_digest g);
-          nodes = Graph.n g;
-          exec =
-            (fun ~seed ->
-              let r =
-                Planar_embedding.run ~seed ~prover:Planar_embedding.Honest
-                  { Planar_embedding.graph = g; rot }
-              in
-              (r.Planar_embedding.verdict, r.Planar_embedding.stats));
-        })
-  }
-
-let planarity_family =
-  {
-    name = "planarity";
-    bounds_row = "planarity";
-    min_n = 4;
-    prepare =
-      (fun ~n ~gseed ->
-        let g = Gen.planar ~n gseed in
-        {
-          instance_key = content_key ~name:"planarity" ~n ~gseed ~digest:(Trace.graph_digest g);
-          nodes = Graph.n g;
-          exec =
-            (fun ~seed ->
-              let r =
-                Planarity.run ~seed ~prover:Planarity.Honest { Planarity.graph = g }
-              in
-              (r.Planarity.verdict, r.Planarity.stats));
-        })
-  }
-
-let series_parallel_family =
-  {
-    name = "series_parallel";
-    bounds_row = "series_parallel_dip";
-    min_n = 4;
-    prepare =
-      (fun ~n ~gseed ->
-        let tr, g = Gen.series_parallel ~size:n gseed in
-        let ears = Series_parallel.ears_of_sp tr in
-        {
-          instance_key =
-            content_key ~name:"series_parallel" ~n ~gseed ~digest:(Trace.graph_digest g);
-          nodes = Graph.n g;
-          exec =
-            (fun ~seed ->
-              let r =
-                Series_parallel_dip.run ~seed ~prover:Series_parallel_dip.Honest
-                  { Series_parallel_dip.graph = g; ears = Some ears }
-              in
-              (r.Series_parallel_dip.verdict, r.Series_parallel_dip.stats));
-        })
-  }
-
-let treewidth2_family =
-  {
-    name = "treewidth2";
-    bounds_row = "treewidth2_dip";
-    min_n = 8;
-    prepare =
-      (fun ~n ~gseed ->
-        let g = Gen.treewidth2 ~blocks:(blocks_of_n n) gseed in
-        {
-          instance_key = content_key ~name:"treewidth2" ~n ~gseed ~digest:(Trace.graph_digest g);
-          nodes = Graph.n g;
-          exec =
-            (fun ~seed ->
-              let r =
-                Treewidth2_dip.run ~seed ~prover:Treewidth2_dip.Honest
-                  { Treewidth2_dip.graph = g }
-              in
-              (r.Treewidth2_dip.verdict, r.Treewidth2_dip.stats));
-        })
-  }
-
-(* List order fixes the binary-format family ids; append only. *)
-let families =
-  [
-    lr_family;
-    po_family;
-    outerplanarity_family;
-    planar_embedding_family;
-    planarity_family;
-    series_parallel_family;
-    treewidth2_family;
-  ]
-
-let family_names = List.map (fun f -> f.name) families
-
-let find_family name = List.find_opt (fun f -> String.equal f.name name) families
+(* The family table fixes the binary-format family ids; append only. *)
+let families = Family.all
+let family_names = List.map (fun (f : Family.t) -> f.Family.name) families
 
 let family_id name =
   let rec go i = function
     | [] -> None
-    | f :: tl -> if String.equal f.name name then Some i else go (i + 1) tl
+    | (f : Family.t) :: tl -> if String.equal f.Family.name name then Some i else go (i + 1) tl
   in
   go 0 families
 
@@ -244,17 +56,19 @@ let max_request_n = 100_000
 
 (* Conservative degree bound: the envelope is monotone in delta, so any
    honest instance of the family at size n fits under it. *)
-let envelope_of fam ~n =
-  match Bounds.find fam.bounds_row with
+let envelope_of (fam : Family.t) ~n =
+  match Bounds.find fam.Family.protocol with
   | Some row -> Some (Bounds.envelope row ~n ~delta:(max 2 (n - 1)))
   | None -> None
 
 let validate_request r =
-  match find_family r.family with
+  match Family.find r.family with
   | None -> Error (Printf.sprintf "unknown family %S" r.family)
   | Some fam ->
-      if r.n < fam.min_n || r.n > max_request_n then
-        Error (Printf.sprintf "family %s: n=%d outside [%d, %d]" fam.name r.n fam.min_n max_request_n)
+      if r.n < fam.Family.min_n || r.n > max_request_n then
+        Error
+          (Printf.sprintf "family %s: n=%d outside [%d, %d]" fam.Family.name r.n fam.Family.min_n
+             max_request_n)
       else if r.gseed < 0 then Error (Printf.sprintf "negative gseed %d" r.gseed)
       else if r.seed < 0 then Error (Printf.sprintf "negative seed %d" r.seed)
       else if r.budget < 1 then Error (Printf.sprintf "non-positive label budget %d" r.budget)
@@ -264,7 +78,7 @@ let validate_request r =
             Error
               (Printf.sprintf
                  "family %s: label budget %d bits exceeds the registry envelope %d bits at n=%d"
-                 fam.name r.budget env r.n)
+                 fam.Family.name r.budget env r.n)
         | _ -> Ok fam)
 
 (* ---- request stream codec --------------------------------------------- *)
@@ -346,7 +160,7 @@ let parse_binary s =
         | Some fam ->
             let r =
               {
-                family = fam.name;
+                family = fam.Family.name;
                 n = u32 (off + 1);
                 gseed = u32 (off + 5);
                 seed = u32 (off + 9);
@@ -383,7 +197,7 @@ let parse_requests s =
    bindings. *)
 
 let pc_default_capacity = 64
-let pc_table : (string, prepared) Hashtbl.t = Hashtbl.create 64
+let pc_table : (string, Family.instance) Hashtbl.t = Hashtbl.create 64
 let pc_lock = Mutex.create ()
 let pc_lookups = Atomic.make 0
 let pc_capacity = Atomic.make pc_default_capacity
@@ -461,20 +275,23 @@ let answer index r =
   match validate_request r with
   | Error e -> raise (Bad_request (Printf.sprintf "request %d: %s" index e))
   | Ok fam ->
-      let pkey = content_key ~name:fam.name ~n:r.n ~gseed:r.gseed ~digest:"prepared" in
-      let prep = Prepared_cache.find_or_prepare ~key:pkey (fun () -> fam.prepare ~n:r.n ~gseed:r.gseed) in
-      let lkey =
-        Label_cache.key ~protocol:("serve|" ^ fam.name) ~instance:prep.instance_key ~seed:r.seed
+      (* addressed by the request's topology parameters: the instance is
+         not built yet *)
+      let pkey =
+        Sha256.hex
+          (String.concat "\x00"
+             [ fam.Family.name; string_of_int r.n; string_of_int r.gseed; "prepared" ])
       in
-      let verdict, stats =
-        Label_cache.find_or_run ~key:lkey (fun () -> prep.exec ~seed:r.seed)
+      let inst =
+        Prepared_cache.find_or_prepare ~key:pkey (fun () -> fam.Family.build ~n:r.n ~gseed:r.gseed)
       in
+      let verdict, stats = Family.honest fam inst ~seed:r.seed in
       let max_bits = stats.Dip.max_node_total_bits in
       {
         index;
         req = r;
         accepted = verdict.Dip.accepted && max_bits <= r.budget;
-        nodes = prep.nodes;
+        nodes = inst.Family.nodes;
         max_bits;
         proof_bits = stats.Dip.proof_size_bits;
       }

@@ -29,8 +29,6 @@ let enabled () =
 let key ~protocol ~instance ~seed =
   Sha256.hex (String.concat "\x00" [ protocol; instance; string_of_int seed ])
 
-let graph_key g = Trace.graph_digest g
-
 let lr_key (inst : Lr_sorting.instance) =
   (* the underlying graph forgets arc orientation and the path order, both
      of which the prover's labels depend on — hash the full instance *)

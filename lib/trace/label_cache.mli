@@ -19,11 +19,8 @@ val enabled : unit -> bool
 
 val key : protocol:string -> instance:string -> seed:int -> string
 (** The content address.  [instance] must determine every input the
-    prover and verifier read besides the seed — use {!graph_key} /
-    {!lr_key} or compose them with witness material. *)
-
-val graph_key : Graph.t -> string
-(** {!Trace.graph_digest}: canonical-edge-list SHA-256. *)
+    prover and verifier read besides the seed; {!Family.honest} passes
+    the family instance's content key. *)
 
 val lr_key : Lr_sorting.instance -> string
 (** Hashes n, the full path order, and the directed arc list — the

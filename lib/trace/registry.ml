@@ -1,267 +1,77 @@
 (* The transcript corpus registry: one pinned honest instance per
-   experiment family E1-E8, each able to record a trace on either runtime
-   and to replay a recorded trace against itself.
+   experiment E1-E8, each a row over the family table ({!Family}), able
+   to record a trace on either runtime and to replay a recorded trace
+   against itself.
 
    Instances are pinned by constants (generator seed, size) independent
    of the run seed, so a trace names everything needed to reproduce it:
-   the experiment id picks the registry entry (hence the instance), the
+   the experiment id picks the registry row (hence the instance), the
    recorded seed re-drives the coins.  Replay is decision-only where the
-   protocol exposes strict label decoders (LR-sorting, E1/E2) and for
-   every network trace (Net.replay_check); the composite protocols
-   (E3-E8, synchronous runtime) replay by deterministic re-execution and
-   a byte-level diff of the full trace. *)
+   family instance carries a [decide] (LR-sorting, E1/E2) and for every
+   network trace (Net.replay_check); the composite protocols (E3-E8,
+   synchronous runtime) replay by deterministic re-execution and a
+   byte-level diff of the full trace. *)
 
 open Dipp_net
-module Gen = Dipp_gen.Gen
 
-type sync_run = {
-  protocol : string;
-  graph : Graph.t;
-  verdict : Dip.verdict;
-  stats : Dip.stats;
-  frames : Trace.frame list;
-}
-
-type entry = {
-  id : string;
-  protocol : string;
-  recipe : string;
-  instance_graph : unit -> Graph.t;
-  run : seed:int -> sync_run;
-  decision_replay : (Trace.t -> (Dip.verdict, string) Stdlib.result) option;
-}
-
+type entry = { id : string; family : Family.t; n : int; gseed : int; recipe : string }
 type replay_report = { mode : string; verdict : Dip.verdict }
 
-(* ---- the eight families ---------------------------------------------- *)
+(* ---- the eight experiments -------------------------------------------- *)
 
-let lr_entry id ~n ~gseed =
-  let inst =
-    lazy
-      (let path, arcs = Gen.lr_yes ~n gseed in
-       { Lr_sorting.n; path; arcs })
-  in
-  {
-    id;
-    protocol = "lr_sorting";
-    recipe = Printf.sprintf "lr_yes n=%d gseed=%d" n gseed;
-    instance_graph = (fun () -> Lr_sorting.underlying_graph (Lazy.force inst));
-    run =
-      (fun ~seed ->
-        let inst = Lazy.force inst in
-        let r = Lr_sorting.run ~seed ~retain:true ~prover:Lr_sorting.Honest inst in
-        {
-          protocol = "lr_sorting";
-          graph = Lr_sorting.underlying_graph inst;
-          verdict = r.Lr_sorting.verdict;
-          stats = r.Lr_sorting.stats;
-          frames = r.Lr_sorting.transcript;
-        });
-    decision_replay =
-      Some (fun t -> Lr_sorting.replay (Lazy.force inst) t.Trace.frames);
-  }
+(* [recipe] is written into the trace bytes, so it stays a literal; the
+   block-built E4/E8 are pinned at n = 32, i.e. 4 blocks. *)
+let entries =
+  List.map
+    (fun (id, family, n, gseed, recipe) -> { id; family; n; gseed; recipe })
+    [
+      ("E1", Family.lr, 128, 42, "lr_yes n=128 gseed=42");
+      ("E2", Family.lr, 300, 42, "lr_yes n=300 gseed=42");
+      ("E3", Family.path_outerplanarity, 200, 11, "path_outerplanar n=200 gseed=11");
+      ("E4", Family.outerplanarity, 32, 3, "outerplanar blocks=4 gseed=3");
+      ("E5", Family.planar_embedding, 64, 5, "planar n=64 gseed=5 + embedding");
+      ("E6", Family.planarity, 64, 5, "planar n=64 gseed=5");
+      ("E7", Family.series_parallel, 64, 3, "series_parallel size=64 gseed=3");
+      ("E8", Family.treewidth2, 32, 3, "treewidth2 blocks=4 gseed=3");
+    ]
 
-let e1 = lr_entry "E1" ~n:128 ~gseed:42
-let e2 = lr_entry "E2" ~n:300 ~gseed:42
-
-let e3 =
-  let inst = lazy (Gen.path_outerplanar ~n:200 11) in
-  {
-    id = "E3";
-    protocol = "path_outerplanarity";
-    recipe = "path_outerplanar n=200 gseed=11";
-    instance_graph = (fun () -> fst (Lazy.force inst));
-    run =
-      (fun ~seed ->
-        let g, w = Lazy.force inst in
-        let r =
-          Path_outerplanarity.run ~seed ~retain:true ~prover:Path_outerplanarity.Honest
-            { Path_outerplanarity.graph = g; witness = Some w }
-        in
-        {
-          protocol = "path_outerplanarity";
-          graph = g;
-          verdict = r.Path_outerplanarity.verdict;
-          stats = r.Path_outerplanarity.stats;
-          frames = r.Path_outerplanarity.transcript;
-        });
-    decision_replay = None;
-  }
-
-let e4 =
-  let inst = lazy (Gen.outerplanar ~blocks:4 3) in
-  {
-    id = "E4";
-    protocol = "outerplanarity";
-    recipe = "outerplanar blocks=4 gseed=3";
-    instance_graph = (fun () -> Lazy.force inst);
-    run =
-      (fun ~seed ->
-        let g = Lazy.force inst in
-        let r =
-          Outerplanarity.run ~seed ~retain:true ~prover:Outerplanarity.Honest
-            { Outerplanarity.graph = g }
-        in
-        {
-          protocol = "outerplanarity";
-          graph = g;
-          verdict = r.Outerplanarity.verdict;
-          stats = r.Outerplanarity.stats;
-          frames = r.Outerplanarity.transcript;
-        });
-    decision_replay = None;
-  }
-
-let e5 =
-  let inst =
-    lazy
-      (let g = Gen.planar ~n:64 5 in
-       match Gen.embedding g with
-       | Some rot -> (g, rot)
-       | None -> invalid_arg "Registry: E5 planar instance has no embedding")
-  in
-  {
-    id = "E5";
-    protocol = "planar_embedding";
-    recipe = "planar n=64 gseed=5 + embedding";
-    instance_graph = (fun () -> fst (Lazy.force inst));
-    run =
-      (fun ~seed ->
-        let g, rot = Lazy.force inst in
-        let r =
-          Planar_embedding.run ~seed ~retain:true ~prover:Planar_embedding.Honest
-            { Planar_embedding.graph = g; rot }
-        in
-        {
-          protocol = "planar_embedding";
-          graph = g;
-          verdict = r.Planar_embedding.verdict;
-          stats = r.Planar_embedding.stats;
-          frames = r.Planar_embedding.transcript;
-        });
-    decision_replay = None;
-  }
-
-let e6 =
-  let inst = lazy (Gen.planar ~n:64 5) in
-  {
-    id = "E6";
-    protocol = "planarity";
-    recipe = "planar n=64 gseed=5";
-    instance_graph = (fun () -> Lazy.force inst);
-    run =
-      (fun ~seed ->
-        let g = Lazy.force inst in
-        let r = Planarity.run ~seed ~retain:true ~prover:Planarity.Honest { Planarity.graph = g } in
-        {
-          protocol = "planarity";
-          graph = g;
-          verdict = r.Planarity.verdict;
-          stats = r.Planarity.stats;
-          frames = r.Planarity.transcript;
-        });
-    decision_replay = None;
-  }
-
-let e7 =
-  let inst =
-    lazy
-      (let tr, g = Gen.series_parallel ~size:64 3 in
-       (g, Series_parallel.ears_of_sp tr))
-  in
-  {
-    id = "E7";
-    protocol = "series_parallel_dip";
-    recipe = "series_parallel size=64 gseed=3";
-    instance_graph = (fun () -> fst (Lazy.force inst));
-    run =
-      (fun ~seed ->
-        let g, ears = Lazy.force inst in
-        let r =
-          Series_parallel_dip.run ~seed ~retain:true ~prover:Series_parallel_dip.Honest
-            { Series_parallel_dip.graph = g; ears = Some ears }
-        in
-        {
-          protocol = "series_parallel_dip";
-          graph = g;
-          verdict = r.Series_parallel_dip.verdict;
-          stats = r.Series_parallel_dip.stats;
-          frames = r.Series_parallel_dip.transcript;
-        });
-    decision_replay = None;
-  }
-
-let e8 =
-  let inst = lazy (Gen.treewidth2 ~blocks:4 3) in
-  {
-    id = "E8";
-    protocol = "treewidth2_dip";
-    recipe = "treewidth2 blocks=4 gseed=3";
-    instance_graph = (fun () -> Lazy.force inst);
-    run =
-      (fun ~seed ->
-        let g = Lazy.force inst in
-        let r =
-          Treewidth2_dip.run ~seed ~retain:true ~prover:Treewidth2_dip.Honest
-            { Treewidth2_dip.graph = g }
-        in
-        {
-          protocol = "treewidth2_dip";
-          graph = g;
-          verdict = r.Treewidth2_dip.verdict;
-          stats = r.Treewidth2_dip.stats;
-          frames = r.Treewidth2_dip.transcript;
-        });
-    decision_replay = None;
-  }
-
-let entries = [ e1; e2; e3; e4; e5; e6; e7; e8 ]
 let find id = List.find_opt (fun e -> String.equal e.id id) entries
 let ids = List.map (fun e -> e.id) entries
+let instance e = e.family.Family.build ~n:e.n ~gseed:e.gseed
 
 (* ---- record ----------------------------------------------------------- *)
 
-let net_transport (s : sync_run) =
-  Net_protocols.transport ~name:s.protocol ~graph:s.graph ~stats:s.stats ~verdict:s.verdict
+let net_transport e graph (r : Family.run) =
+  Net_protocols.transport ~name:e.family.Family.protocol ~graph ~stats:r.Family.stats
+    ~verdict:r.Family.verdict
 
-let record ?(runtime = Trace.Dip_runtime) entry ~seed =
-  let s = entry.run ~seed in
-  let n = Graph.n s.graph in
-  let graph_digest = Trace.graph_digest s.graph in
-  match runtime with
-  | Trace.Dip_runtime ->
-      {
-        Trace.experiment = entry.id;
-        protocol = s.protocol;
-        runtime;
-        recipe = entry.recipe;
-        graph_digest;
-        seed;
-        n;
-        stats = s.stats;
-        frames = s.frames;
-        verdicts = Trace.verdicts_of_verdict ~n s.verdict;
-      }
-  | Trace.Net_runtime ->
-      let proto = net_transport s in
-      let res = Net.execute ~rng:(Rng.create seed) ~model:Fault.reliable proto in
-      let frames =
-        Array.to_list (Array.map (fun round -> (Dip.Prover_phase, round)) proto.Net.rounds)
-      in
-      {
-        Trace.experiment = entry.id;
-        protocol = s.protocol;
-        runtime;
-        recipe = entry.recipe;
-        graph_digest;
-        seed;
-        n;
-        stats = s.stats;
-        frames;
-        verdicts =
-          Trace.verdicts_of_verdict ~n
-            { Dip.accepted = res.Net.accepted; rejecting = res.Net.rejecting };
-      }
+let record_instance ~runtime e inst ~seed =
+  let r = inst.Family.run ~retain:true ~seed in
+  let graph = inst.Family.graph () in
+  let n = Graph.n graph in
+  let frames, verdict =
+    match runtime with
+    | Trace.Dip_runtime -> (r.Family.frames, r.Family.verdict)
+    | Trace.Net_runtime ->
+        let proto = net_transport e graph r in
+        let res = Net.execute ~rng:(Rng.create seed) ~model:Fault.reliable proto in
+        ( Array.to_list (Array.map (fun round -> (Dip.Prover_phase, round)) proto.Net.rounds),
+          { Dip.accepted = res.Net.accepted; rejecting = res.Net.rejecting } )
+  in
+  {
+    Trace.experiment = e.id;
+    protocol = e.family.Family.protocol;
+    runtime;
+    recipe = e.recipe;
+    graph_digest = Trace.graph_digest graph;
+    seed;
+    n;
+    stats = r.Family.stats;
+    frames;
+    verdicts = Trace.verdicts_of_verdict ~n verdict;
+  }
+
+let record ?(runtime = Trace.Dip_runtime) e ~seed = record_instance ~runtime e (instance e) ~seed
 
 (* ---- replay ----------------------------------------------------------- *)
 
@@ -278,9 +88,10 @@ let verdict_divergence ~replayed ~recorded =
 let prover_rows (s : Dip.stats) =
   List.filter (fun (ph, _) -> ph = Dip.Prover_phase) s.Dip.per_phase
 
-let replay_net entry t =
-  let s = entry.run ~seed:t.Trace.seed in
-  let proto = net_transport s in
+let replay_net entry inst t =
+  let proto =
+    net_transport entry (inst.Family.graph ()) (inst.Family.run ~retain:true ~seed:t.Trace.seed)
+  in
   let recorded = Array.of_list t.Trace.frames in
   if Array.exists (fun (ph, _) -> ph <> Dip.Prover_phase) recorded then
     Error "a network trace must contain only prover round payloads"
@@ -318,10 +129,10 @@ let replay_net entry t =
         else Ok { mode = "decision-only (net)"; verdict }
   end
 
-let replay_dip entry t =
-  match entry.decision_replay with
-  | Some f -> (
-      match f t with
+let replay_dip entry inst t =
+  match inst.Family.decide with
+  | Some decide -> (
+      match decide t.Trace.frames with
       | Error e -> Error ("decision replay failed: " ^ e)
       | Ok verdict ->
           let recorded = Trace.verdict_of t in
@@ -331,7 +142,7 @@ let replay_dip entry t =
             Error "per-phase bit counts do not match the recorded frames"
           else Ok { mode = "decision-only"; verdict })
   | None -> (
-      let fresh = record ~runtime:Trace.Dip_runtime entry ~seed:t.Trace.seed in
+      let fresh = record_instance ~runtime:Trace.Dip_runtime entry inst ~seed:t.Trace.seed in
       match Trace.diff t fresh with
       | Some d -> Error ("re-execution diverges: " ^ d)
       | None -> Ok { mode = "re-execution"; verdict = Trace.verdict_of t })
@@ -340,14 +151,15 @@ let replay t =
   match find t.Trace.experiment with
   | None -> Error (Printf.sprintf "unknown experiment id %S" t.Trace.experiment)
   | Some entry ->
-      if not (String.equal t.Trace.protocol entry.protocol) then
+      let protocol = entry.family.Family.protocol in
+      let inst = instance entry in
+      if not (String.equal t.Trace.protocol protocol) then
         Error
-          (Printf.sprintf "trace names protocol %S but %s is %S" t.Trace.protocol entry.id
-             entry.protocol)
-      else if not (String.equal t.Trace.graph_digest (Trace.graph_digest (entry.instance_graph ())))
+          (Printf.sprintf "trace names protocol %S but %s is %S" t.Trace.protocol entry.id protocol)
+      else if not (String.equal t.Trace.graph_digest (Trace.graph_digest (inst.Family.graph ())))
       then Error "graph digest mismatch: the registry instance is not the recorded one"
       else begin
         match t.Trace.runtime with
-        | Trace.Dip_runtime -> replay_dip entry t
-        | Trace.Net_runtime -> replay_net entry t
+        | Trace.Dip_runtime -> replay_dip entry inst t
+        | Trace.Net_runtime -> replay_net entry inst t
       end

@@ -1,15 +1,16 @@
 (** The transcript corpus registry: pinned honest instances E1-E8 with
     record and replay on both runtimes.
 
-    Each entry pins one instance by generator constants (independent of
-    the run seed), so a {!Trace.t} is self-describing: its experiment id
-    picks the entry (hence the instance), its seed re-drives the coins.
+    Each entry is one row over the family table: a {!Family.t} and the
+    generator constants [(n, gseed)] (independent of the run seed), so a
+    {!Trace.t} is self-describing: its experiment id picks the entry
+    (hence the instance), its seed re-drives the coins.
 
     Replay modes:
     - {e decision-only} — only the per-node decision functions re-run
-      against the recorded frames: LR-sorting traces (E1/E2) through the
-      protocol's strict label decoders, and every network trace through
-      {!Net.replay_check};
+      against the recorded frames: traces of a family whose instance has
+      a [decide] (LR-sorting, E1/E2) through the protocol's strict label
+      decoders, and every network trace through {!Net.replay_check};
     - {e re-execution} — composite protocols (E3-E8) on the synchronous
       runtime re-run deterministically from the recorded seed and the
       fresh trace is byte-diffed against the recorded one.
@@ -18,21 +19,12 @@
     must be the recorded one) and finishes by checking the recorded
     per-phase bit counts against the frames. *)
 
-type sync_run = {
-  protocol : string;
-  graph : Graph.t;
-  verdict : Dip.verdict;
-  stats : Dip.stats;
-  frames : Trace.frame list;
-}
-
 type entry = {
   id : string;  (** experiment id, ["E1"].."E8"] *)
-  protocol : string;
-  recipe : string;
-  instance_graph : unit -> Graph.t;
-  run : seed:int -> sync_run;  (** honest retained run on the pinned instance *)
-  decision_replay : (Trace.t -> (Dip.verdict, string) Stdlib.result) option;
+  family : Family.t;
+  n : int;  (** size parameter passed to [family.build] *)
+  gseed : int;
+  recipe : string;  (** human-readable instance recipe, written into the trace *)
 }
 
 type replay_report = { mode : string; verdict : Dip.verdict }

@@ -207,6 +207,20 @@ let test_preconditions () =
     ];
   Alcotest.(check int) "no node decided" 0 !checks
 
+let test_by_name_validates_rate () =
+  let ok name rate =
+    match Fault.by_name name ~rate with Ok m -> m.Fault.name = name | Error _ -> false
+  in
+  let err name rate = Result.is_error (Fault.by_name name ~rate) in
+  Alcotest.(check bool) "drop 0.05 resolves" true (ok "drop" 0.05);
+  Alcotest.(check bool) "rate 0 and 1 are the closed ends" true (ok "crash" 0. && ok "chaos" 1.);
+  Alcotest.(check bool) "rate 2 rejected" true (err "drop" 2.);
+  Alcotest.(check bool) "rate 1.5 rejected" true (err "drop" 1.5);
+  Alcotest.(check bool) "negative rate rejected" true (err "corrupt" (-0.1));
+  Alcotest.(check bool) "nan rejected" true (err "delay" Float.nan);
+  Alcotest.(check bool) "infinity rejected" true (err "duplicate" Float.infinity);
+  Alcotest.(check bool) "unknown model rejected" true (err "bogus" 0.05)
+
 let () =
   Alcotest.run "net"
     [
@@ -233,5 +247,9 @@ let () =
             test_sweep_identical_across_jobs;
         ] );
       ( "limits",
-        [ Alcotest.test_case "retries = 15, latency = 0 rejected" `Quick test_preconditions ] );
+        [
+          Alcotest.test_case "retries = 15, latency = 0 rejected" `Quick test_preconditions;
+          Alcotest.test_case "by_name rejects rates outside [0, 1]" `Quick
+            test_by_name_validates_rate;
+        ] );
     ]

@@ -299,6 +299,56 @@ let test_engine_report_identical_with_and_without_cache () =
   Alcotest.(check int) "disabled cache records nothing" 0 (h0 + m0);
   Alcotest.(check string) "byte-identical report" with_cache without_cache
 
+(* ---- family table ------------------------------------------------------ *)
+
+let test_family_names_pinned () =
+  (* serve binary-format family ids are positions in this list, so it is
+     append-only *)
+  let want =
+    [
+      "lr";
+      "path_outerplanarity";
+      "outerplanarity";
+      "planar_embedding";
+      "planarity";
+      "series_parallel";
+      "treewidth2";
+    ]
+  in
+  Alcotest.(check (list string)) "Family.all" want (List.map (fun f -> f.Family.name) Family.all);
+  Alcotest.(check (list string)) "Serve.family_names" want Serve.family_names
+
+let test_family_honest_matches_uncached () =
+  Label_cache.reset ();
+  List.iter
+    (fun fam ->
+      List.iter
+        (fun n ->
+          let what = Printf.sprintf "%s n=%d" fam.Family.name n in
+          let inst = fam.Family.build ~n ~gseed:3 in
+          let r = inst.Family.run ~retain:false ~seed:5 in
+          Alcotest.(check bool) (what ^ " honest run accepts") true r.Family.verdict.Dip.accepted;
+          Alcotest.(check int) (what ^ " nodes") (Graph.n (inst.Family.graph ())) inst.Family.nodes;
+          for _ = 1 to 2 do
+            let verdict, stats = Family.honest fam inst ~seed:5 in
+            Alcotest.(check bool) (what ^ " cached verdict") true (verdict = r.Family.verdict);
+            Alcotest.(check bool) (what ^ " cached stats") true (stats = r.Family.stats)
+          done)
+        [ 16; 32 ])
+    Family.all;
+  if Label_cache.enabled () then
+    Alcotest.(check (pair int int)) "one miss then one hit per instance" (14, 14) (Label_cache.stats ())
+
+let test_family_key () =
+  List.iter
+    (fun fam ->
+      let key n gseed = (fam.Family.build ~n ~gseed).Family.key in
+      let what = fam.Family.name in
+      Alcotest.(check string) (what ^ " key stable across builds") (key 16 3) (key 16 3);
+      Alcotest.(check bool) (what ^ " n separates") true (key 16 3 <> key 32 3);
+      Alcotest.(check bool) (what ^ " gseed separates") true (key 16 3 <> key 16 4))
+    Family.all
+
 let () =
   Alcotest.run "trace"
     [
@@ -331,5 +381,12 @@ let () =
           Alcotest.test_case "key separation" `Quick test_cache_key_separates;
           Alcotest.test_case "engine report cache-invariant" `Slow
             test_engine_report_identical_with_and_without_cache;
+        ] );
+      ( "family",
+        [
+          Alcotest.test_case "names pinned in binary-id order" `Quick test_family_names_pinned;
+          Alcotest.test_case "cached honest run = uncached run" `Quick
+            test_family_honest_matches_uncached;
+          Alcotest.test_case "key stable and separating" `Quick test_family_key;
         ] );
     ]
