@@ -17,10 +17,12 @@
                                          sharded network engine scaling + BENCH_shard.json
    Unknown commands or flags exit with code 2 and a usage message.
 
-   Soundness loops (E2-E8) run on the deterministic multicore trial engine
-   (lib/engine): --jobs N (or DIPP_JOBS=N) picks the worker-domain count,
-   DIPP_TRIALS_SEED the experiment seed; the outcome is bit-identical for
-   every N. *)
+   The honest sweeps (E1, E3-E5, E7, E8) and the bounds report are rows
+   of one [scaling] table run through {!Family.honest}, so bounds reuses
+   the sweeps' label-cache entries; E2-E8, E10 and [trials] share one
+   memo of engine results keyed by spec id.  --jobs N (or DIPP_JOBS=N)
+   picks the worker-domain count and DIPP_TRIALS_SEED the experiment
+   seed; the outcome is bit-identical for every N. *)
 
 open Dipp
 
@@ -37,8 +39,26 @@ let trials_seed () =
   | Some s -> ( match int_of_string_opt (String.trim s) with Some v -> v | None -> 42)
   | None -> 42
 
-let run_experiment tag =
-  Engine.run_all ~jobs:(jobs ()) ~seed:(trials_seed ()) (Soundness.by_experiment tag)
+(* Engine results by spec id.  Outcomes are a pure function of (seed, id,
+   index) and seed and jobs are fixed for the invocation, so a memoised
+   result is the one a fresh run would give. *)
+let engine_memo : (string, Engine.result) Hashtbl.t = Hashtbl.create 64
+
+let run_specs specs =
+  List.map
+    (fun (spec : Engine.Spec.t) ->
+      match Hashtbl.find_opt engine_memo spec.Engine.Spec.id with
+      | Some r -> r
+      | None ->
+          let r = Engine.run ~jobs:(jobs ()) ~seed:(trials_seed ()) spec in
+          Hashtbl.replace engine_memo spec.Engine.Spec.id r;
+          r)
+    specs
+
+let spec_result id =
+  match Soundness.find id with
+  | Some spec -> List.hd (run_specs [ spec ])
+  | None -> failwith ("bench: no soundness spec " ^ id)
 
 let print_engine_results results =
   Printf.printf "%-26s %-16s %6s %8s %9s %7s %18s\n" "spec" "adversary" "n" "trials" "rejected"
@@ -55,161 +75,140 @@ let print_engine_results results =
   let wall = List.fold_left (fun acc r -> acc +. r.Engine.wall_clock_s) 0. results in
   Printf.printf "engine: seed=%d jobs=%d wall-clock=%.2fs\n" (trials_seed ()) (jobs ()) wall
 
-let ceil_log2 n =
-  let rec go w = if 1 lsl w >= n then w else go (w + 1) in
-  max 1 (go 1)
+let out_path var default = Option.value (Sys.getenv_opt var) ~default
+let env_flag var = match Sys.getenv_opt var with Some "1" -> true | Some _ | None -> false
 
-let acceptance_rate runs =
-  let total = List.length runs in
-  let acc = List.length (List.filter Fun.id runs) in
-  float_of_int acc /. float_of_int total
+(* ---- the honest scaling table -------------------------------------- *)
 
-let rejection_rate runs = 1.0 -. acceptance_rate runs
+(* One row per scaling experiment: the family instance at each size
+   [n] from [gseed], run from [seed].  [bounds_sizes] are the sizes the
+   bounds report instantiates; [baseline] is a one-round PLS (its bounds
+   row id and its stats on the same instance). *)
+type scaling = {
+  family : Family.t;
+  gseed : int;
+  seed : int;
+  sizes : int list;
+  bounds_sizes : int list;
+  baseline : (string * (n:int -> gseed:int -> Dip.stats)) option;
+}
+
+let scaling ?baseline family ~gseed ~seed ~bounds sizes =
+  { family; gseed; seed; sizes; bounds_sizes = bounds; baseline }
+
+let pls_lr ~n ~gseed =
+  let path, arcs = Gen.lr_yes ~n gseed in
+  let pls = Pls_lr_sorting.run { Lr_sorting.n; path; arcs } in
+  assert pls.Pls_lr_sorting.verdict.Dip.accepted;
+  pls.Pls_lr_sorting.stats
+
+let pls_po ~n ~gseed =
+  let g, w = Gen.path_outerplanar ~n gseed in
+  let pls = Pls_path_outerplanar.run { Pls_path_outerplanar.graph = g; witness = w } in
+  pls.Pls_path_outerplanar.stats
+
+let e1_row =
+  scaling Family.lr ~gseed:42 ~seed:1 ~baseline:("pls_lr_sorting", pls_lr)
+    [ 256; 1024; 4096; 16384; 65536; 262144 ] ~bounds:[ 256; 4096; 65536 ]
+
+let e3_row =
+  scaling Family.path_outerplanarity ~gseed:11 ~seed:2 ~baseline:("pls_path_outerplanar", pls_po)
+    [ 256; 1024; 4096; 16384 ] ~bounds:[ 256; 4096 ]
+
+(* outerplanarity and treewidth2 build n / 8 blocks *)
+let e4_row =
+  scaling Family.outerplanarity ~gseed:3 ~seed:1 [ 32; 128; 512; 2048 ] ~bounds:[ 32; 512 ]
+
+let e5_row = scaling Family.planar_embedding ~gseed:5 ~seed:1 [ 64; 256; 1024 ] ~bounds:[ 64; 256 ]
+
+let e7_row =
+  scaling Family.series_parallel ~gseed:3 ~seed:1 [ 16; 64; 256; 1024 ] ~bounds:[ 64; 256 ]
+
+let e8_row = scaling Family.treewidth2 ~gseed:3 ~seed:1 [ 32; 128; 512 ] ~bounds:[ 32; 128 ]
+
+let measure row n =
+  let inst = row.family.Family.build ~n ~gseed:row.gseed in
+  let verdict, stats = Family.honest row.family inst ~seed:row.seed in
+  assert verdict.Dip.accepted;
+  (inst, stats)
+
+let print_scaling row () =
+  Printf.printf "%8s %8s %8s %10s %10s %10s %8s\n" "n" "nodes" "log2 n" "loglog n" "DIP bits"
+    "PLS bits" "rounds";
+  List.iter
+    (fun n ->
+      let inst, stats = measure row n in
+      let pls =
+        match row.baseline with
+        | Some (_, run) -> string_of_int (run ~n ~gseed:row.gseed).Dip.proof_size_bits
+        | None -> "-"
+      in
+      let log2n = Bounds.ceil_log2 inst.Family.nodes in
+      Printf.printf "%8d %8d %8d %10.2f %10d %10s %8d\n" n inst.Family.nodes log2n
+        (log (float_of_int log2n) /. log 2.)
+        stats.Dip.proof_size_bits pls stats.Dip.interaction_rounds)
+    row.sizes
+
+(* BFS tree from node 0, roots marked -1 *)
+let tree_parent g = Array.mapi (fun v pv -> if pv = v then -1 else pv) (Traversal.spanning_tree g 0)
+
+(* E6's named planarity instances, of growing maximum degree *)
+let grid n = Gen.planar_bounded_degree ~n 1
+let stacked n = Gen.planar ~n 1
+
+let wheel n =
+  Graph.create ~n
+    (List.init (n - 1) (fun i -> (0, i + 1))
+    @ List.init (n - 2) (fun i -> (i + 1, i + 2))
+    @ [ (n - 1, 1) ])
+
+let planarity_stats g =
+  let r = Planarity.run ~seed:1 ~prover:Planarity.Honest { Planarity.graph = g } in
+  assert r.Planarity.verdict.Dip.accepted;
+  r.Planarity.stats
+
+let e6_table () =
+  Printf.printf "%-24s %8s %8s %12s %10s\n" "family" "n" "Delta" "proof bits" "rho bits";
+  List.iter
+    (fun (name, gen) ->
+      List.iter
+        (fun n ->
+          let g = gen n in
+          let stats = planarity_stats g in
+          (* the rho part of the round-1 label: forest setup plus one
+             (rho_u, rho_v) pair of width log Delta per forest field *)
+          let el = Edge_labels.create g in
+          let rho_bits =
+            Edge_labels.setup_width el
+            + (Edge_labels.forests el * 2 * Bounds.ceil_log2 (Graph.max_degree g))
+          in
+          Printf.printf "%-24s %8d %8d %12d %10d\n" name (Graph.n g) (Graph.max_degree g)
+            stats.Dip.proof_size_bits rho_bits)
+        [ 256; 1024 ])
+    [ ("grid+diagonals", grid); ("stacked triangulation", stacked); ("wheel (Delta = n-1)", wheel) ]
 
 (* ------------------------------------------------------------------ *)
 
-let e1 () =
-  header "E1  LR-sorting: proof size scaling (Lemma 4.1 vs trivial 1-round PLS)";
-  Printf.printf "%8s %8s %10s %12s %12s %10s\n" "n" "log2 n" "loglog n" "DIP bits" "PLS bits" "rounds";
-  List.iter
-    (fun n ->
-      let path, arcs = Gen.lr_yes ~n 42 in
-      let inst = { Lr_sorting.n; path; arcs } in
-      let r = Lr_sorting.run ~seed:1 ~prover:Lr_sorting.Honest inst in
-      let pls = Pls_lr_sorting.run inst in
-      assert r.Lr_sorting.verdict.Dip.accepted;
-      assert pls.Pls_lr_sorting.verdict.Dip.accepted;
-      Printf.printf "%8d %8d %10.2f %12d %12d %10d\n" n (ceil_log2 n)
-        (log (float_of_int (ceil_log2 n)) /. log 2.)
-        r.Lr_sorting.stats.Dip.proof_size_bits pls.Pls_lr_sorting.stats.Dip.proof_size_bits
-        r.Lr_sorting.stats.Dip.interaction_rounds)
-    [ 256; 1024; 4096; 16384; 65536; 262144 ];
-  print_endline "shape: the DIP column grows like log log n (a few bits per quadrupling);";
-  print_endline "       the PLS column is exactly ceil(log2 n)."
-
-let e2 () =
-  header "E2  LR-sorting: empirical soundness (paper: error 1/polylog n)";
-  print_engine_results (run_experiment "E2")
-
-let e3 () =
-  header "E3  Path-outerplanarity (Thm 1.2): size scaling + soundness";
-  Printf.printf "%8s %12s %12s %10s\n" "n" "DIP bits" "PLS bits" "rounds";
-  List.iter
-    (fun n ->
-      let g, w = Gen.path_outerplanar ~n 11 in
-      let r =
-        Path_outerplanarity.run ~seed:2 ~prover:Path_outerplanarity.Honest
-          { Path_outerplanarity.graph = g; witness = Some w }
-      in
-      let pls = Pls_path_outerplanar.run { Pls_path_outerplanar.graph = g; witness = w } in
-      assert r.Path_outerplanarity.verdict.Dip.accepted;
-      Printf.printf "%8d %12d %12d %10d\n" n r.Path_outerplanarity.stats.Dip.proof_size_bits
-        pls.Pls_path_outerplanar.stats.Dip.proof_size_bits
-        r.Path_outerplanarity.stats.Dip.interaction_rounds)
-    [ 256; 1024; 4096; 16384 ];
-  print_engine_results (run_experiment "E3")
-
-let e4 () =
-  header "E4  Outerplanarity (Thm 1.3): block-cut composition";
-  Printf.printf "%8s %8s %12s %10s\n" "blocks" "n" "proof bits" "rounds";
-  List.iter
-    (fun blocks ->
-      let g = Gen.outerplanar ~blocks 3 in
-      let r = Outerplanarity.run ~seed:1 ~prover:Outerplanarity.Honest { Outerplanarity.graph = g } in
-      assert r.Outerplanarity.verdict.Dip.accepted;
-      Printf.printf "%8d %8d %12d %10d\n" blocks (Graph.n g)
-        r.Outerplanarity.stats.Dip.proof_size_bits r.Outerplanarity.stats.Dip.interaction_rounds)
-    [ 4; 16; 64; 256 ];
-  print_engine_results (run_experiment "E4")
-
-let e5 () =
-  header "E5  Embedded planarity (Thm 1.4): the h(G,T,rho) reduction";
-  Printf.printf "%8s %8s %12s %10s\n" "n" "m" "proof bits" "rounds";
-  List.iter
-    (fun n ->
-      let g = Gen.planar ~n 5 in
-      let rot = Option.get (Gen.embedding g) in
-      let r =
-        Planar_embedding.run ~seed:1 ~prover:Planar_embedding.Honest { Planar_embedding.graph = g; rot }
-      in
-      assert r.Planar_embedding.verdict.Dip.accepted;
-      Printf.printf "%8d %8d %12d %10d\n" n (Graph.m g) r.Planar_embedding.stats.Dip.proof_size_bits
-        r.Planar_embedding.stats.Dip.interaction_rounds)
-    [ 64; 256; 1024 ];
-  print_engine_results (run_experiment "E5")
-
-let e6 () =
-  header "E6  Planarity (Thm 1.5): O(log log n + log Delta) proof size";
-  Printf.printf "%-24s %8s %8s %12s %10s\n" "family" "n" "Delta" "proof bits" "rho bits";
-  let bits_for x =
-    let rec go w = if 1 lsl w > x then w else go (w + 1) in
-    max 1 (go 1)
-  in
-  let run g name =
-    let r = Planarity.run ~seed:1 ~prover:Planarity.Honest { Planarity.graph = g } in
-    assert r.Planarity.verdict.Dip.accepted;
-    (* the rho part of the round-1 label: forest setup plus one
-       (rho_u, rho_v) pair of width log Delta per forest field *)
-    let el = Edge_labels.create g in
-    let rho_bits =
-      Edge_labels.setup_width el
-      + (Edge_labels.forests el * 2 * bits_for (max 1 (Graph.max_degree g - 1)))
-    in
-    Printf.printf "%-24s %8d %8d %12d %10d\n" name (Graph.n g) (Graph.max_degree g)
-      r.Planarity.stats.Dip.proof_size_bits rho_bits
-  in
-  let wheel n =
-    Graph.create ~n
-      (List.init (n - 1) (fun i -> (0, i + 1))
-      @ List.init (n - 2) (fun i -> (i + 1, i + 2))
-      @ [ (n - 1, 1) ])
-  in
-  run (Gen.planar_bounded_degree ~n:256 1) "grid+diagonals";
-  run (Gen.planar_bounded_degree ~n:1024 1) "grid+diagonals";
-  run (Gen.planar ~n:256 1) "stacked triangulation";
-  run (Gen.planar ~n:1024 1) "stacked triangulation";
-  run (wheel 256) "wheel (Delta = n-1)";
-  run (wheel 1024) "wheel (Delta = n-1)";
-  print_engine_results (run_experiment "E6");
-  print_endline "shape: within a family bits grow like log log n; the rho column grows";
-  print_endline "       like log Delta across families (the additive term of Thm 1.5)."
-
-let e7 () =
-  header "E7  Series-parallel (Thm 1.6)";
-  Printf.printf "%8s %8s %12s %10s\n" "size" "n" "proof bits" "rounds";
-  List.iter
-    (fun size ->
-      let tr, g = Gen.series_parallel ~size 3 in
-      let r =
-        Series_parallel_dip.run ~seed:1 ~prover:Series_parallel_dip.Honest
-          { Series_parallel_dip.graph = g; ears = Some (Series_parallel.ears_of_sp tr) }
-      in
-      assert r.Series_parallel_dip.verdict.Dip.accepted;
-      Printf.printf "%8d %8d %12d %10d\n" size (Graph.n g)
-        r.Series_parallel_dip.stats.Dip.proof_size_bits
-        r.Series_parallel_dip.stats.Dip.interaction_rounds)
-    [ 16; 64; 256; 1024 ];
-  print_engine_results (run_experiment "E7")
-
-let e8 () =
-  header "E8  Treewidth <= 2 (Thm 1.7)";
-  Printf.printf "%8s %8s %12s %10s\n" "blocks" "n" "proof bits" "rounds";
-  List.iter
-    (fun blocks ->
-      let g = Gen.treewidth2 ~blocks 3 in
-      let r = Treewidth2_dip.run ~seed:1 ~prover:Treewidth2_dip.Honest { Treewidth2_dip.graph = g } in
-      assert r.Treewidth2_dip.verdict.Dip.accepted;
-      Printf.printf "%8d %8d %12d %10d\n" blocks (Graph.n g)
-        r.Treewidth2_dip.stats.Dip.proof_size_bits r.Treewidth2_dip.stats.Dip.interaction_rounds)
-    [ 4; 16; 64 ];
-  print_engine_results (run_experiment "E8")
+(* An experiment built from its engine soundness rows: its own table
+   first (a scaling row, E6's named graphs, or none), then the rows, then
+   the closing notes.  The command name is the lowercased tag and the
+   usage line is the title. *)
+let experiment tag title table notes =
+  ( String.lowercase_ascii tag,
+    title,
+    fun () ->
+      header (Printf.sprintf "%-3s %s" tag title);
+      table ();
+      (match run_specs (Soundness.by_experiment tag) with [] -> () | rs -> print_engine_results rs);
+      List.iter print_endline notes )
 
 let e9 () =
   header "E9  One-round lower bound (Thm 1.8): Omega(log n) label bits";
   Printf.printf "%8s %10s %22s %22s\n" "n" "log2 n" "soundness threshold" "completeness threshold";
   List.iter
     (fun n ->
-      Printf.printf "%8d %10d %22d %22d\n" n (ceil_log2 n) (Lower_bound.soundness_threshold ~n)
+      Printf.printf "%8d %10d %22d %22d\n" n (Bounds.ceil_log2 n)
+        (Lower_bound.soundness_threshold ~n)
         (Lower_bound.completeness_threshold ~n))
     [ 64; 256; 1024; 4096; 16384; 65536 ];
   print_endline "soundness: below the threshold the truncated 1-round scheme accepts a";
@@ -217,152 +216,41 @@ let e9 () =
   print_endline "  residues); completeness: below it the truncated FFM+21-style scheme";
   print_endline "  rejects an honest long-chord yes-instance.  Both track ceil(log2 n)."
 
+(* The results table is a view of the engine rows: completeness, rounds
+   and proof bits from each experiment's pooled honest row, soundness
+   from one adversary per protocol. *)
 let e10 () =
   header "E10 Results table (Thms 1.2-1.7): rounds / bits / completeness / soundness";
-  Printf.printf "%-24s %7s %11s %13s %10s\n" "protocol" "rounds" "proof bits" "completeness" "soundness";
-  let trials = 25 in
-  let row name (stats : Dip.stats) comp sound =
-    Printf.printf "%-24s %7d %11d %12.0f%% %9.0f%%\n" name stats.Dip.interaction_rounds
-      stats.Dip.proof_size_bits (100. *. comp) (100. *. sound)
-  in
-  (let n = 300 in
-   let comp =
-     List.init trials (fun s ->
-         let path, arcs = Gen.lr_yes ~n s in
-         (Lr_sorting.run ~seed:s ~prover:Lr_sorting.Honest { Lr_sorting.n; path; arcs })
-           .Lr_sorting.verdict.Dip.accepted)
-   in
-   let sound =
-     List.init trials (fun s ->
-         let path, arcs = Gen.lr_no ~n s in
-         (Lr_sorting.run ~seed:s ~prover:Lr_sorting.Forge_pairs { Lr_sorting.n; path; arcs })
-           .Lr_sorting.verdict.Dip.accepted)
-   in
-   let path, arcs = Gen.lr_yes ~n 0 in
-   let r = Lr_sorting.run ~seed:0 ~prover:Lr_sorting.Honest { Lr_sorting.n; path; arcs } in
-   row "LR-sorting (L4.1)" r.Lr_sorting.stats (acceptance_rate comp) (rejection_rate sound));
-  (let n = 200 in
-   let comp =
-     List.init trials (fun s ->
-         let g, w = Gen.path_outerplanar ~n s in
-         (Path_outerplanarity.run ~seed:s ~prover:Path_outerplanarity.Honest
-            { Path_outerplanarity.graph = g; witness = Some w })
-           .Path_outerplanarity.verdict.Dip.accepted)
-   in
-   let sound =
-     List.init trials (fun s ->
-         let g, w = Gen.path_crossing ~n s in
-         (Path_outerplanarity.run ~seed:s ~prover:Path_outerplanarity.Crossing_sweep
-            { Path_outerplanarity.graph = g; witness = Some w })
-           .Path_outerplanarity.verdict.Dip.accepted)
-   in
-   let g, w = Gen.path_outerplanar ~n 0 in
-   let r =
-     Path_outerplanarity.run ~seed:0 ~prover:Path_outerplanarity.Honest
-       { Path_outerplanarity.graph = g; witness = Some w }
-   in
-   row "path-outerpl. (T1.2)" r.Path_outerplanarity.stats (acceptance_rate comp) (rejection_rate sound));
-  (let comp =
-     List.init trials (fun s ->
-         (Outerplanarity.run ~seed:s ~prover:Outerplanarity.Honest
-            { Outerplanarity.graph = Gen.outerplanar ~blocks:5 s })
-           .Outerplanarity.verdict.Dip.accepted)
-   in
-   let sound =
-     List.init trials (fun s ->
-         (Outerplanarity.run ~seed:s ~prover:Outerplanarity.Component_cheat
-            { Outerplanarity.graph = Gen.outerplanar_no ~blocks:5 s })
-           .Outerplanarity.verdict.Dip.accepted)
-   in
-   let r =
-     Outerplanarity.run ~seed:0 ~prover:Outerplanarity.Honest
-       { Outerplanarity.graph = Gen.outerplanar ~blocks:5 0 }
-   in
-   row "outerplanarity (T1.3)" r.Outerplanarity.stats (acceptance_rate comp) (rejection_rate sound));
-  (let comp =
-     List.init trials (fun s ->
-         let g = Gen.planar ~n:60 s in
-         let rot = Option.get (Gen.embedding g) in
-         (Planar_embedding.run ~seed:s ~prover:Planar_embedding.Honest { Planar_embedding.graph = g; rot })
-           .Planar_embedding.verdict.Dip.accepted)
-   in
-   let sound =
-     List.filter_map
-       (fun s ->
-         let g = Gen.planar ~n:60 s in
-         Option.map
-           (fun rot ->
-             (Planar_embedding.run ~seed:s ~prover:Planar_embedding.Crossing_sweep
-                { Planar_embedding.graph = g; rot })
-               .Planar_embedding.verdict.Dip.accepted)
-           (Gen.corrupted_embedding g (s + 1)))
-       (List.init trials Fun.id)
-   in
-   let g = Gen.planar ~n:60 0 in
-   let r =
-     Planar_embedding.run ~seed:0 ~prover:Planar_embedding.Honest
-       { Planar_embedding.graph = g; rot = Option.get (Gen.embedding g) }
-   in
-   row "planar embed. (T1.4)" r.Planar_embedding.stats (acceptance_rate comp) (rejection_rate sound));
-  (let comp =
-     List.init trials (fun s ->
-         (Planarity.run ~seed:s ~prover:Planarity.Honest { Planarity.graph = Gen.planar ~n:60 s })
-           .Planarity.verdict.Dip.accepted)
-   in
-   let sound =
-     List.init trials (fun s ->
-         (Planarity.run ~seed:s ~prover:Planarity.Best_rotation
-            { Planarity.graph = Gen.nonplanar ~n:60 s })
-           .Planarity.verdict.Dip.accepted)
-   in
-   let r = Planarity.run ~seed:0 ~prover:Planarity.Honest { Planarity.graph = Gen.planar ~n:60 0 } in
-   row "planarity (T1.5)" r.Planarity.stats (acceptance_rate comp) (rejection_rate sound));
-  (let comp =
-     List.init trials (fun s ->
-         let tr, g = Gen.series_parallel ~size:40 s in
-         (Series_parallel_dip.run ~seed:s ~prover:Series_parallel_dip.Honest
-            { Series_parallel_dip.graph = g; ears = Some (Series_parallel.ears_of_sp tr) })
-           .Series_parallel_dip.verdict.Dip.accepted)
-   in
-   let sound =
-     List.filter_map
-       (fun s ->
-         Option.map
-           (fun (g, ears) ->
-             (Series_parallel_dip.run ~seed:s ~prover:Series_parallel_dip.Ear_cheat
-                { Series_parallel_dip.graph = g; ears = Some ears })
-               .Series_parallel_dip.verdict.Dip.accepted)
-           (Gen.series_parallel_no ~size:40 s))
-       (List.init trials Fun.id)
-   in
-   let tr, g = Gen.series_parallel ~size:40 0 in
-   let r =
-     Series_parallel_dip.run ~seed:0 ~prover:Series_parallel_dip.Honest
-       { Series_parallel_dip.graph = g; ears = Some (Series_parallel.ears_of_sp tr) }
-   in
-   row "series-par. (T1.6)" r.Series_parallel_dip.stats (acceptance_rate comp) (rejection_rate sound));
-  (let comp =
-     List.init trials (fun s ->
-         (Treewidth2_dip.run ~seed:s ~prover:Treewidth2_dip.Honest
-            { Treewidth2_dip.graph = Gen.treewidth2 ~blocks:4 s })
-           .Treewidth2_dip.verdict.Dip.accepted)
-   in
-   let sound =
-     List.filter_map
-       (fun s ->
-         Option.map
-           (fun g ->
-             (Treewidth2_dip.run ~seed:s ~prover:Treewidth2_dip.Component_cheat
-                { Treewidth2_dip.graph = g })
-               .Treewidth2_dip.verdict.Dip.accepted)
-           (Gen.treewidth2_no ~blocks:4 s))
-       (List.init trials Fun.id)
-   in
-   let r =
-     Treewidth2_dip.run ~seed:0 ~prover:Treewidth2_dip.Honest
-       { Treewidth2_dip.graph = Gen.treewidth2 ~blocks:4 0 }
-   in
-   row "treewidth<=2 (T1.7)" r.Treewidth2_dip.stats (acceptance_rate comp) (rejection_rate sound));
+  Printf.printf "%-22s %6s %10s %15s %18s %17s\n" "protocol" "rounds" "proof bits" "completeness"
+    "soundness" "95% CI";
+  List.iter
+    (fun (tag, name, adversary) ->
+      let honest = spec_result (tag ^ "/honest/pooled") and cheat = spec_result adversary in
+      let rounds, bits =
+        match honest.Engine.envelope with
+        | Some s -> (s.Dip.interaction_rounds, s.Dip.proof_size_bits)
+        | None -> (0, 0)
+      in
+      let lo, hi = Engine.wilson95 ~rejected:cheat.Engine.rejected ~total:cheat.Engine.completed in
+      Printf.printf "%-22s %6d %10d %6d/%-3d %3.0f%% %7d/%-3d %5.1f%% [%6.4f, %6.4f]\n" name
+        rounds bits
+        (honest.Engine.completed - honest.Engine.rejected)
+        honest.Engine.completed
+        (100. *. (1. -. Engine.rejection_rate honest))
+        cheat.Engine.rejected cheat.Engine.completed
+        (100. *. Engine.rejection_rate cheat)
+        lo hi)
+    [
+      ("e2", "LR-sorting (L4.1)", "e2/forge-pairs/c3");
+      ("e3", "path-outerpl. (T1.2)", "e3/crossing-sweep");
+      ("e4", "outerplanarity (T1.3)", "e4/component-cheat");
+      ("e5", "planar embed. (T1.4)", "e5/corrupted-rotation");
+      ("e6", "planarity (T1.5)", "e6/best-rotation");
+      ("e7", "series-par. (T1.6)", "e7/ear-cheat");
+      ("e8", "treewidth<=2 (T1.7)", "e8/component-cheat");
+    ];
+  print_endline "completeness: accepted/trials of the pooled honest row; soundness:";
+  print_endline "  rejected/trials of the adversary row (trials_report.json has both).";
   print_endline "paper: 5 rounds, perfect completeness, 1/polylog(n) soundness error,";
   print_endline "       O(log log n) bits (planarity: + log Delta)."
 
@@ -408,13 +296,12 @@ let open_questions () =
   Printf.printf "%8s | %s\n" "n" "per-phase max label bits (P = prover, V = verifier coins)";
   List.iter
     (fun n ->
-      let path, arcs = Gen.lr_yes ~n 42 in
-      let r = Lr_sorting.run ~seed:1 ~prover:Lr_sorting.Honest { Lr_sorting.n; path; arcs } in
+      let _, stats = measure e1_row n in
       let cells =
         List.map
           (fun (ph, bits) ->
             Printf.sprintf "%s%d" (match ph with Dip.Prover_phase -> "P" | Dip.Verifier_phase -> "V") bits)
-          r.Lr_sorting.stats.Dip.per_phase
+          stats.Dip.per_phase
       in
       Printf.printf "%8d | %s\n" n (String.concat "  " cells))
     [ 1024; 16384; 262144 ];
@@ -453,7 +340,7 @@ let ablation () =
   let n = 4096 in
   let path, arcs = Gen.lr_yes ~n 42 in
   let inst = { Lr_sorting.n; path; arcs } in
-  let logn = ceil_log2 n in
+  let logn = Bounds.ceil_log2 n in
   List.iter
     (fun block ->
       let r = Lr_sorting.run ~seed:1 ~c:2 ~block ~prover:Lr_sorting.Honest inst in
@@ -520,146 +407,81 @@ let refine_interval =
 
 let bounds () =
   header "BOUNDS  declared budgets (Theorems 1.2-1.8) vs measured honest runs";
-  let entries = ref [] in
+  let json = Buffer.create 8192 and rows = ref 0 and violated = ref 0 in
   let record ~id ~n ~delta (stats : Dip.stats) =
-    match Bounds.find id with
-    | None -> failwith ("bounds experiment: no registry row for " ^ id)
-    | Some row ->
-        let b = Bounds.budget row ~n ~delta in
-        let violations = Dip.check_budget b stats in
-        let inferred =
-          match refine_interval id with
-          | None -> None
-          | Some (lo, hi) ->
-              let ev f = Option.join (Option.map (Dipp_analysis.Refine.eval_form ~n ~delta) f) in
-              Some (ev lo, ev hi)
+    let row =
+      match Bounds.find id with
+      | Some row -> row
+      | None -> failwith ("bounds experiment: no registry row for " ^ id)
+    in
+    let b = Bounds.budget row ~n ~delta in
+    let violations =
+      List.map (Format.asprintf "%a" Dip.pp_budget_violation) (Dip.check_budget b stats)
+    in
+    let inferred =
+      let ev f = Option.join (Option.map (Dipp_analysis.Refine.eval_form ~n ~delta) f) in
+      Option.map (fun (lo, hi) -> (ev lo, ev hi)) (refine_interval id)
+    in
+    let show none = function Some v -> string_of_int v | None -> none in
+    Printf.printf "%-22s %-28s %7d %5d %9d %12s %10d  %s\n" row.Bounds.id row.Bounds.theorem n delta
+      b.Dip.budget_proof_bits
+      (match inferred with
+      | Some (lo, hi) -> Printf.sprintf "[%s, %s]" (show "?" lo) (show "?" hi)
+      | None -> "-")
+      stats.Dip.proof_size_bits
+      (match violations with [] -> "ok" | _ :: _ -> "CLAIM VIOLATED");
+    let phases s = Json.escape (Format.asprintf "%a" Dip.pp_phases s) in
+    Printf.bprintf json
+      "%s\n\
+      \  {\"protocol\": \"%s\", \"theorem\": \"%s\", \"family\": \"%s\", \"n\": %d, \
+       \"delta\": %d,\n\
+      \   \"claimed\": {\"rounds\": %d, \"schedule\": \"%s\", \"proof_bits\": %d, \
+       \"floor_bits\": %d},\n\
+      \   \"inferred\": %s,\n\
+      \   \"measured\": {\"rounds\": %d, \"schedule\": \"%s\", \"proof_bits\": %d},\n\
+      \   \"violations\": [%s], \"claim_violated\": %b}"
+      (if !rows = 0 then "" else ",")
+      (Json.escape row.Bounds.id) (Json.escape row.Bounds.theorem) (Json.escape row.Bounds.family) n
+      delta b.Dip.budget_rounds (phases b.Dip.budget_schedule) b.Dip.budget_proof_bits
+      b.Dip.budget_floor_bits
+      (match inferred with
+      | Some (lo, hi) ->
+          Printf.sprintf "{\"label_lo\": %s, \"label_hi\": %s}" (show "null" lo) (show "null" hi)
+      | None -> "null")
+      stats.Dip.interaction_rounds (phases stats.Dip.phases) stats.Dip.proof_size_bits
+      (String.concat ", " (List.map (fun v -> "\"" ^ Json.escape v ^ "\"") violations))
+      (match violations with [] -> false | _ :: _ -> true);
+    incr rows;
+    match violations with [] -> () | _ :: _ -> incr violated
+  in
+  let record_row row =
+    List.iter
+      (fun n ->
+        let inst, stats = measure row n in
+        let nodes = inst.Family.nodes in
+        (* the LR-sorting network is the path *)
+        let delta =
+          if row.family == Family.lr then 2 else Graph.max_degree (inst.Family.graph ())
         in
-        let inferred_str =
-          match inferred with
-          | Some (lo, hi) ->
-              let s = function Some v -> string_of_int v | None -> "?" in
-              Printf.sprintf "[%s, %s]" (s lo) (s hi)
-          | None -> "-"
-        in
-        entries := (row, n, delta, b, stats, violations, inferred) :: !entries;
-        Printf.printf "%-22s %-28s %7d %5d %9d %12s %10d  %s\n" row.Bounds.id row.Bounds.theorem
-          n delta b.Dip.budget_proof_bits inferred_str stats.Dip.proof_size_bits
-          (match violations with [] -> "ok" | _ :: _ -> "CLAIM VIOLATED")
+        record ~id:row.family.Family.protocol ~n:nodes ~delta stats;
+        Option.iter
+          (fun (id, run) -> record ~id ~n:nodes ~delta (run ~n ~gseed:row.gseed))
+          row.baseline)
+      row.bounds_sizes
   in
   Printf.printf "%-22s %-28s %7s %5s %9s %12s %10s\n" "protocol" "theorem" "n" "delta" "claimed"
     "inferred" "measured";
+  List.iter record_row [ e1_row; e3_row; e4_row; e5_row ];
   List.iter
-    (fun n ->
-      let path, arcs = Gen.lr_yes ~n 42 in
-      let inst = { Lr_sorting.n; path; arcs } in
-      let r = Lr_sorting.run ~seed:1 ~prover:Lr_sorting.Honest inst in
-      record ~id:"lr_sorting" ~n ~delta:2 r.Lr_sorting.stats;
-      let pls = Pls_lr_sorting.run inst in
-      record ~id:"pls_lr_sorting" ~n ~delta:2 pls.Pls_lr_sorting.stats)
-    [ 256; 4096; 65536 ];
-  List.iter
-    (fun n ->
-      let g, w = Gen.path_outerplanar ~n 11 in
-      let r =
-        Path_outerplanarity.run ~seed:2 ~prover:Path_outerplanarity.Honest
-          { Path_outerplanarity.graph = g; witness = Some w }
-      in
-      record ~id:"path_outerplanarity" ~n:(Graph.n g) ~delta:(Graph.max_degree g)
-        r.Path_outerplanarity.stats;
-      let pls = Pls_path_outerplanar.run { Pls_path_outerplanar.graph = g; witness = w } in
-      record ~id:"pls_path_outerplanar" ~n:(Graph.n g) ~delta:(Graph.max_degree g)
-        pls.Pls_path_outerplanar.stats)
-    [ 256; 4096 ];
-  List.iter
-    (fun blocks ->
-      let g = Gen.outerplanar ~blocks 3 in
-      let r = Outerplanarity.run ~seed:1 ~prover:Outerplanarity.Honest { Outerplanarity.graph = g } in
-      record ~id:"outerplanarity" ~n:(Graph.n g) ~delta:(Graph.max_degree g) r.Outerplanarity.stats)
-    [ 4; 64 ];
-  List.iter
-    (fun n ->
-      let g = Gen.planar ~n 5 in
-      let rot = Option.get (Gen.embedding g) in
-      let r =
-        Planar_embedding.run ~seed:1 ~prover:Planar_embedding.Honest
-          { Planar_embedding.graph = g; rot }
-      in
-      record ~id:"planar_embedding" ~n:(Graph.n g) ~delta:(Graph.max_degree g)
-        r.Planar_embedding.stats)
-    [ 64; 256 ];
-  List.iter
-    (fun (g, _name) ->
-      let r = Planarity.run ~seed:1 ~prover:Planarity.Honest { Planarity.graph = g } in
-      record ~id:"planarity" ~n:(Graph.n g) ~delta:(Graph.max_degree g) r.Planarity.stats)
-    [ (Gen.planar_bounded_degree ~n:256 1, "grid+diagonals"); (Gen.planar ~n:256 1, "stacked") ];
-  List.iter
-    (fun size ->
-      let tr, g = Gen.series_parallel ~size 3 in
-      let r =
-        Series_parallel_dip.run ~seed:1 ~prover:Series_parallel_dip.Honest
-          { Series_parallel_dip.graph = g; ears = Some (Series_parallel.ears_of_sp tr) }
-      in
-      record ~id:"series_parallel_dip" ~n:(Graph.n g) ~delta:(Graph.max_degree g)
-        r.Series_parallel_dip.stats)
-    [ 64; 256 ];
-  List.iter
-    (fun blocks ->
-      let g = Gen.treewidth2 ~blocks 3 in
-      let r = Treewidth2_dip.run ~seed:1 ~prover:Treewidth2_dip.Honest { Treewidth2_dip.graph = g } in
-      record ~id:"treewidth2_dip" ~n:(Graph.n g) ~delta:(Graph.max_degree g) r.Treewidth2_dip.stats)
-    [ 4; 16 ];
-  let g = Gen.planar ~n:256 1 in
-  let parent = Traversal.spanning_tree g 0 in
-  let parent = Array.mapi (fun v pv -> if pv = v then -1 else pv) parent in
-  let pls_st = Pls_spanning_tree.run g ~parent in
+    (fun g -> record ~id:"planarity" ~n:(Graph.n g) ~delta:(Graph.max_degree g) (planarity_stats g))
+    [ grid 256; stacked 256 ];
+  List.iter record_row [ e7_row; e8_row ];
+  let g = stacked 256 in
   record ~id:"pls_spanning_tree" ~n:(Graph.n g) ~delta:(Graph.max_degree g)
-    pls_st.Pls_spanning_tree.stats;
-  (* machine-readable record *)
-  let out =
-    match Sys.getenv_opt "DIPP_BOUNDS_OUT" with Some p -> p | None -> "bounds_report.json"
-  in
-  let oc = open_out out in
-  let entries = List.rev !entries in
-  let phases s = Format.asprintf "%a" Dip.pp_phases s in
-  output_string oc "[";
-  List.iteri
-    (fun i (row, n, delta, (b : Dip.budget), (stats : Dip.stats), violations, inferred) ->
-      let vstrings =
-        List.map (fun vio -> Format.asprintf "%a" Dip.pp_budget_violation vio) violations
-      in
-      let inferred_json =
-        match inferred with
-        | None -> "null"
-        | Some (lo, hi) ->
-            let s = function Some v -> string_of_int v | None -> "null" in
-            Printf.sprintf "{\"label_lo\": %s, \"label_hi\": %s}" (s lo) (s hi)
-      in
-      Printf.fprintf oc
-        "%s\n\
-        \  {\"protocol\": \"%s\", \"theorem\": \"%s\", \"family\": \"%s\", \"n\": %d, \
-         \"delta\": %d,\n\
-        \   \"claimed\": {\"rounds\": %d, \"schedule\": \"%s\", \"proof_bits\": %d, \
-         \"floor_bits\": %d},\n\
-        \   \"inferred\": %s,\n\
-        \   \"measured\": {\"rounds\": %d, \"schedule\": \"%s\", \"proof_bits\": %d},\n\
-        \   \"violations\": [%s], \"claim_violated\": %b}"
-        (if i = 0 then "" else ",")
-        row.Bounds.id row.Bounds.theorem row.Bounds.family n delta b.Dip.budget_rounds
-        (phases b.Dip.budget_schedule) b.Dip.budget_proof_bits b.Dip.budget_floor_bits
-        inferred_json stats.Dip.interaction_rounds (phases stats.Dip.phases)
-        stats.Dip.proof_size_bits
-        (String.concat ", " (List.map (fun s -> "\"" ^ s ^ "\"") vstrings))
-        (match violations with [] -> false | _ :: _ -> true))
-    entries;
-  output_string oc "\n]\n";
-  close_out oc;
-  let violated =
-    List.length
-      (List.filter
-         (fun (_, _, _, _, _, vs, _) -> match vs with [] -> false | _ :: _ -> true)
-         entries)
-  in
-  Printf.printf "\nwrote %s: %d rows, %d with violated claims\n" out (List.length entries) violated
+    (Pls_spanning_tree.run g ~parent:(tree_parent g)).Pls_spanning_tree.stats;
+  let out = out_path "DIPP_BOUNDS_OUT" "bounds_report.json" in
+  Out_channel.with_open_bin out (fun oc -> output_string oc ("[" ^ Buffer.contents json ^ "\n]\n"));
+  Printf.printf "\nwrote %s: %d rows, %d with violated claims\n" out !rows !violated
 
 (* The full soundness table on the engine, plus the machine-readable
    record (trials_report.json; DIPP_TRIALS_OUT overrides the path).  The
@@ -670,15 +492,11 @@ let trials () =
   header "TRIALS  engine soundness record (E2-E8) -> trials_report.json";
   Label_cache.reset ();
   let seed = trials_seed () in
-  let results = Engine.run_all ~jobs:(jobs ()) ~seed Soundness.specs in
+  let results = run_specs Soundness.specs in
   print_engine_results results;
-  let timing =
-    match Sys.getenv_opt "DIPP_TRIALS_TIMING" with Some "1" -> true | Some _ | None -> false
-  in
-  Engine.write_report ~timing ~seed results;
-  let out =
-    match Sys.getenv_opt "DIPP_TRIALS_OUT" with Some p -> p | None -> "trials_report.json"
-  in
+  let timing = env_flag "DIPP_TRIALS_TIMING" in
+  let out = out_path "DIPP_TRIALS_OUT" "trials_report.json" in
+  Engine.write_report ~path:out ~timing ~seed results;
   Printf.printf "wrote %s: %d experiments%s\n" out (List.length results)
     (if timing then " (with timing fields)" else "");
   (* stdout only: the JSON stays byte-identical with the cache on or off *)
@@ -733,52 +551,39 @@ let analysis () =
     (fun (file, _, structure) ->
       A.Typed_scan.add_structure ~file program ~modname:(A.Typed_scan.module_name file) structure)
     parsed;
+  (* each pass's JSON row is written as it finishes *)
+  let passes = Buffer.create 256 and count = ref 0 in
   let time name f =
     let t0 = Unix.gettimeofday () in
-    let findings = f () in
+    let findings = List.length (f ()) in
     let wall = Unix.gettimeofday () -. t0 in
-    Printf.printf "%-8s %8.3fs %5d finding(s)\n" name wall (List.length findings);
-    (name, wall, List.length findings)
+    Printf.printf "%-8s %8.3fs %5d finding(s)\n" name wall findings;
+    Printf.bprintf passes "%s\n  {\"pass\": \"%s\", \"wall_s\": %.6f, \"findings\": %d}"
+      (if !count = 0 then "" else ",")
+      name wall findings;
+    incr count
   in
-  (* bind each row before building the list: list literals evaluate
-     right-to-left, which would reverse the stdout lines *)
-  let lint = time "lint" (fun () -> A.Lint_rules.lint_tree "lib") in
-  let flow =
-    time "flow" (fun () ->
-        List.concat_map (fun (_, _, structure) -> A.Flow.check ~program structure) parsed)
+  let per_file check () =
+    List.concat_map (fun (file, src, structure) -> check file src structure) parsed
   in
-  let refine =
-    time "refine" (fun () ->
-        List.concat_map
-          (fun (file, src, structure) ->
-            let annots = A.Refine.annotations_of_source src in
-            A.Refine.check ~program ~annots ~filename:file structure)
-          parsed)
-  in
-  let race =
-    time "race" (fun () ->
-        List.concat_map
-          (fun (file, src, structure) ->
-            let annots = A.Race.annotations_of_source src in
-            A.Race.check ~program ~annots ~filename:file structure)
-          parsed)
-  in
-  let rows = [ lint; flow; refine; race ] in
-  let out =
-    match Sys.getenv_opt "DIPP_ANALYSIS_OUT" with Some p -> p | None -> "BENCH_analysis.json"
-  in
+  time "lint" (fun () -> A.Lint_rules.lint_tree "lib");
+  time "flow" (fun () ->
+      List.concat_map (fun (_, _, structure) -> A.Flow.check ~program structure) parsed);
+  time "refine"
+    (per_file (fun filename src structure ->
+         let annots = A.Refine.annotations_of_source src in
+         A.Refine.check ~program ~annots ~filename structure));
+  time "race"
+    (per_file (fun filename src structure ->
+         let annots = A.Race.annotations_of_source src in
+         A.Race.check ~program ~annots ~filename structure));
+  let out = out_path "DIPP_ANALYSIS_OUT" "BENCH_analysis.json" in
   let oc = open_out out in
-  Printf.fprintf oc "{\"bench\": \"analysis\", \"tree\": \"lib\", \"files\": %d, \"passes\": ["
-    (List.length parsed);
-  List.iteri
-    (fun i (name, wall, n) ->
-      Printf.fprintf oc "%s\n  {\"pass\": \"%s\", \"wall_s\": %.6f, \"findings\": %d}"
-        (if i = 0 then "" else ",")
-        name wall n)
-    rows;
-  output_string oc "\n]}\n";
+  Printf.fprintf oc
+    "{\"bench\": \"analysis\", \"tree\": \"lib\", \"files\": %d, \"passes\": [%s\n]}\n"
+    (List.length parsed) (Buffer.contents passes);
   close_out oc;
-  Printf.printf "wrote %s: %d files, %d passes\n" out (List.length parsed) (List.length rows)
+  Printf.printf "wrote %s: %d files, %d passes\n" out (List.length parsed) !count
 
 (* Batched verification service throughput: a fixed synthetic request
    stream over all seven families, answered once on cold caches.  The
@@ -789,33 +594,30 @@ let analysis () =
    else. *)
 let serve () =
   header "SERVE  batched verification service -> BENCH_serve.json";
-  let env row n =
-    match Bounds.find row with
-    | Some r -> Bounds.envelope r ~n ~delta:(max 2 (n - 1))
-    | None -> invalid_arg ("no bounds row " ^ row)
+  let request (fam : Family.t) n gseed seed =
+    match Bounds.find fam.Family.protocol with
+    | Some row ->
+        let budget = Bounds.envelope row ~n ~delta:(max 2 (n - 1)) in
+        { Serve.family = fam.Family.name; n; gseed; seed; budget }
+    | None -> invalid_arg ("no bounds row " ^ fam.Family.protocol)
   in
-  let reqs = ref [] in
-  let push family row n gseed seed =
-    reqs := { Serve.family; n; gseed; seed; budget = env row n } :: !reqs
+  let base =
+    List.concat_map
+      (fun (fam, sizes) ->
+        List.concat_map
+          (fun n ->
+            List.concat_map (fun gseed -> List.map (request fam n gseed) [ 1; 2; 3 ]) [ 1; 2 ])
+          sizes)
+      [
+        (Family.lr, [ 64; 128 ]);
+        (Family.path_outerplanarity, [ 48; 64 ]);
+        (Family.outerplanarity, [ 32; 64 ]);
+        (Family.planar_embedding, [ 24 ]);
+        (Family.planarity, [ 24 ]);
+        (Family.series_parallel, [ 24; 40 ]);
+        (Family.treewidth2, [ 32; 64 ]);
+      ]
   in
-  List.iter
-    (fun (family, row, sizes) ->
-      List.iter
-        (fun n ->
-          List.iter
-            (fun gseed -> List.iter (fun seed -> push family row n gseed seed) [ 1; 2; 3 ])
-            [ 1; 2 ])
-        sizes)
-    [
-      ("lr", "lr_sorting", [ 64; 128 ]);
-      ("path_outerplanarity", "path_outerplanarity", [ 48; 64 ]);
-      ("outerplanarity", "outerplanarity", [ 32; 64 ]);
-      ("planar_embedding", "planar_embedding", [ 24 ]);
-      ("planarity", "planarity", [ 24 ]);
-      ("series_parallel", "series_parallel_dip", [ 24; 40 ]);
-      ("treewidth2", "treewidth2_dip", [ 32; 64 ]);
-    ];
-  let base = List.rev !reqs in
   (* replay a slice of the stream so the service sees exact-repeat hits *)
   let repeats = List.filteri (fun i _ -> i mod 6 = 0) base in
   let stream = Array.of_list (base @ repeats) in
@@ -832,13 +634,13 @@ let serve () =
   let digest = Serve.log_digest (Serve.response_log out) in
   Printf.printf "response digest %s\n" digest;
   print_endline (Serve.Prepared_cache.report () ^ "; " ^ Label_cache.report ());
-  let path = match Sys.getenv_opt "DIPP_SERVE_OUT" with Some p -> p | None -> "BENCH_serve.json" in
+  let path = out_path "DIPP_SERVE_OUT" "BENCH_serve.json" in
   let oc = open_out path in
   Printf.fprintf oc "{\"bench\": \"serve\",\n";
   Printf.fprintf oc " \"requests\": %d,\n" (Array.length stream);
   Printf.fprintf oc " \"families\": [%s],\n"
-    (String.concat ", " (List.map (Printf.sprintf "\"%s\"") Serve.family_names));
-  Printf.fprintf oc " \"response_digest\": \"%s\",\n" digest;
+    (String.concat ", " (List.map (fun name -> "\"" ^ Json.escape name ^ "\"") Serve.family_names));
+  Printf.fprintf oc " \"response_digest\": \"%s\",\n" (Json.escape digest);
   Printf.fprintf oc
     " \"prepared_cache\": {\"lookups\": %d, \"distinct\": %d, \"resident\": %d, \"capacity\": %d},\n"
     pc_lookups pc_distinct pc_resident pc_capacity;
@@ -861,7 +663,7 @@ let serve () =
    for any machine, DIPP_SHARDS and --jobs value. *)
 let shard () =
   header "SHARD  sharded network engine scaling -> BENCH_shard.json";
-  let heavy = match Sys.getenv_opt "DIPP_HEAVY" with Some "1" -> true | Some _ | None -> false in
+  let heavy = env_flag "DIPP_HEAVY" in
   let ladder = [ 1_000; 10_000; 100_000 ] @ if heavy then [ 1_000_000 ] else [] in
   let shard_grid = [ 1; 2; 4; 8 ] in
   let families =
@@ -869,10 +671,6 @@ let shard () =
       ("triangulated-grid", fun n -> Gen.triangulated_grid ~n 1);
       ("nested-triangulation", fun n -> Gen.nested_triangulation ~n 1);
     ]
-  in
-  let tree_parent g =
-    let p = Traversal.spanning_tree g 0 in
-    Array.mapi (fun v pv -> if pv = v then -1 else pv) p
   in
   let render (r : Net.result) =
     let ints l = String.concat "," (List.map string_of_int l) in
@@ -885,7 +683,9 @@ let shard () =
   in
   Printf.printf "%-22s %9s %8s %7s %9s %10s %7s %10s\n" "family" "n" "shards" "windows" "events"
     "cross" "accept" "events/s";
-  let rows = ref [] in
+  (* the deterministic and the timing half of each row, written as it runs *)
+  let rows = Buffer.create 4096 and timing_rows = Buffer.create 2048 and count = ref 0 in
+  let eps_at = Hashtbl.create 32 in
   List.iter
     (fun n ->
       List.iter
@@ -921,9 +721,20 @@ let shard () =
                   (Printf.sprintf "shard bench: %s n=%d result differs at %d shards" fam n shards);
               Printf.printf "%-22s %9d %8d %7d %9d %10.4f %7b %10.0f\n" fam n st.Shard.shards
                 st.Shard.windows st.Shard.events cross_frac r.Net.accepted eps;
-              rows :=
-                (fam, n, Graph.m g, st, cross_frac, r.Net.accepted, r.Net.heard, invariant, wall, eps)
-                :: !rows)
+              let sep = if !count = 0 then "" else "," in
+              Printf.bprintf rows
+                "%s\n\
+                \  {\"family\": \"%s\", \"n\": %d, \"m\": %d, \"shards\": %d, \"windows\": %d, \
+                 \"events\": %d, \"cross_messages\": %d, \"cross_fraction\": %.6f, \
+                 \"accepted\": %b, \"heard\": %.6f, \"invariant\": %b}"
+                sep fam n (Graph.m g) st.Shard.shards st.Shard.windows st.Shard.events
+                st.Shard.cross_messages cross_frac r.Net.accepted r.Net.heard invariant;
+              Printf.bprintf timing_rows
+                "%s\n   {\"family\": \"%s\", \"n\": %d, \"shards\": %d, \"wall_s\": %.6f, \
+                 \"events_per_sec\": %.1f}"
+                sep fam n st.Shard.shards wall eps;
+              Hashtbl.replace eps_at (fam, n, shards) eps;
+              incr count)
             shard_grid;
           (* reliable reference: the replayed verdict, every directed edge
              sent once per round and acknowledged once, nothing lost *)
@@ -973,23 +784,15 @@ let shard () =
   Printf.printf "faulty probe (chaos 0.05, n=1000): %s\n"
     (if probe_ok then "invariant across shards/jobs/partition seeds" else "DIVERGED");
   if not probe_ok then failwith "shard bench: faulty probe diverged";
-  let rows = List.rev !rows in
-  let find_eps fam n shards =
-    List.find_map
-      (fun (f, n', _, st, _, _, _, _, _, eps) ->
-        if String.equal f fam && n' = n && st.Shard.shards = shards then Some eps else None)
-      rows
-  in
   let speedup =
-    match (find_eps "triangulated-grid" 100_000 8, find_eps "triangulated-grid" 100_000 1) with
+    let find shards = Hashtbl.find_opt eps_at ("triangulated-grid", 100_000, shards) in
+    match (find 8, find 1) with
     | Some e8, Some e1 when e1 > 0. -> e8 /. e1
     | _ -> 0.
   in
   Printf.printf "8-shard vs 1-shard events/s at n=100000 (grid): %.2fx (on %d core(s))\n" speedup
     (Domain.recommended_domain_count ());
-  let out =
-    match Sys.getenv_opt "DIPP_SHARD_OUT" with Some p -> p | None -> "BENCH_shard.json"
-  in
+  let out = out_path "DIPP_SHARD_OUT" "BENCH_shard.json" in
   let oc = open_out out in
   Printf.fprintf oc "{\"bench\": \"shard\",\n";
   Printf.fprintf oc " \"ladder\": [%s],\n" (String.concat ", " (List.map string_of_int ladder));
@@ -997,48 +800,38 @@ let shard () =
   Printf.fprintf oc " \"shard_grid\": [%s],\n"
     (String.concat ", " (List.map string_of_int shard_grid));
   Printf.fprintf oc " \"probe_invariant\": %b,\n" probe_ok;
-  Printf.fprintf oc " \"rows\": [";
-  List.iteri
-    (fun i (fam, n, m, st, cross_frac, accepted, heard, invariant, _, _) ->
-      Printf.fprintf oc
-        "%s\n\
-        \  {\"family\": \"%s\", \"n\": %d, \"m\": %d, \"shards\": %d, \"windows\": %d, \
-         \"events\": %d, \"cross_messages\": %d, \"cross_fraction\": %.6f, \"accepted\": %b, \
-         \"heard\": %.6f, \"invariant\": %b}"
-        (if i = 0 then "" else ",")
-        fam n m st.Shard.shards st.Shard.windows st.Shard.events st.Shard.cross_messages cross_frac
-        accepted heard invariant)
-    rows;
-  Printf.fprintf oc "\n ],\n";
+  Printf.fprintf oc " \"rows\": [%s\n ],\n" (Buffer.contents rows);
   Printf.fprintf oc " \"timing\": {\"jobs\": %d, \"cores\": %d, \"speedup_8v1_grid_1e5\": %.4f,\n"
     (jobs ())
     (Domain.recommended_domain_count ())
     speedup;
-  Printf.fprintf oc "  \"rows\": [";
-  List.iteri
-    (fun i (fam, n, _, st, _, _, _, _, wall, eps) ->
-      Printf.fprintf oc
-        "%s\n   {\"family\": \"%s\", \"n\": %d, \"shards\": %d, \"wall_s\": %.6f, \
-         \"events_per_sec\": %.1f}"
-        (if i = 0 then "" else ",")
-        fam n st.Shard.shards wall eps)
-    rows;
-  Printf.fprintf oc "\n  ]}}\n";
+  Printf.fprintf oc "  \"rows\": [%s\n  ]}}\n" (Buffer.contents timing_rows);
   close_out oc;
-  Printf.printf "wrote %s: %d rows (heavy=%b)\n" out (List.length rows) heavy
+  Printf.printf "wrote %s: %d rows (heavy=%b)\n" out !count heavy
 
 (* The one command table: execution order, dispatch, and the usage text
    all come from this list, so a new experiment needs exactly one row. *)
 let commands =
   [
-    ("e1", "LR-sorting proof-size scaling (Lemma 4.1)", e1);
-    ("e2", "LR-sorting empirical soundness", e2);
-    ("e3", "path-outerplanarity scaling + soundness (Thm 1.2)", e3);
-    ("e4", "outerplanarity block-cut composition (Thm 1.3)", e4);
-    ("e5", "embedded planarity reduction (Thm 1.4)", e5);
-    ("e6", "planarity proof-size vs Delta (Thm 1.5)", e6);
-    ("e7", "series-parallel (Thm 1.6)", e7);
-    ("e8", "treewidth <= 2 (Thm 1.7)", e8);
+    experiment "E1" "LR-sorting: proof size scaling (Lemma 4.1 vs trivial 1-round PLS)"
+      (print_scaling e1_row)
+      [
+        "shape: the DIP column grows like log log n (a few bits per quadrupling);";
+        "       the PLS column is exactly ceil(log2 n).";
+      ];
+    experiment "E2" "LR-sorting: empirical soundness (paper: error 1/polylog n)" ignore [];
+    experiment "E3" "Path-outerplanarity (Thm 1.2): size scaling + soundness"
+      (print_scaling e3_row) [];
+    experiment "E4" "Outerplanarity (Thm 1.3): block-cut composition" (print_scaling e4_row) [];
+    experiment "E5" "Embedded planarity (Thm 1.4): the h(G,T,rho) reduction"
+      (print_scaling e5_row) [];
+    experiment "E6" "Planarity (Thm 1.5): O(log log n + log Delta) proof size" e6_table
+      [
+        "shape: within a family bits grow like log log n; the rho column grows";
+        "       like log Delta across families (the additive term of Thm 1.5).";
+      ];
+    experiment "E7" "Series-parallel (Thm 1.6)" (print_scaling e7_row) [];
+    experiment "E8" "Treewidth <= 2 (Thm 1.7)" (print_scaling e8_row) [];
     ("e9", "one-round lower bound thresholds (Thm 1.8)", e9);
     ("e10", "results table: rounds/bits/completeness/soundness", e10);
     ("e11", "reduction chart (Figure 2) sub-protocol traces", e11);
@@ -1061,6 +854,11 @@ let usage oc =
   List.iter (fun (name, doc, _) -> Printf.fprintf oc "  %-16s %s\n" name doc) commands;
   output_string oc "with no COMMAND, every experiment runs in order (see EXPERIMENTS.md).\n"
 
+let usage_error msg =
+  prerr_endline msg;
+  usage stderr;
+  exit 2
+
 let () =
   (* peel --jobs N (anywhere) off the experiment picks; any other flag is
      an error (exit 2, the usage-error code shared with lib/analysis/cli) *)
@@ -1071,21 +869,13 @@ let () =
         | Some j when j >= 1 ->
             jobs_override := Some j;
             parse acc rest
-        | Some _ | None ->
-            Printf.eprintf "--jobs expects a positive integer (got %s)\n" v;
-            usage stderr;
-            exit 2)
-    | [ "--jobs" ] ->
-        Printf.eprintf "--jobs expects a positive integer\n";
-        usage stderr;
-        exit 2
+        | Some _ | None -> usage_error ("--jobs expects a positive integer (got " ^ v ^ ")"))
+    | [ "--jobs" ] -> usage_error "--jobs expects a positive integer"
     | ("--help" | "-h") :: _ ->
         usage stdout;
         exit 0
     | flag :: _ when String.length flag > 0 && flag.[0] = '-' ->
-        Printf.eprintf "unknown flag %s\n" flag;
-        usage stderr;
-        exit 2
+        usage_error ("unknown flag " ^ flag)
     | p :: rest -> parse (p :: acc) rest
   in
   let picks = parse [] (List.tl (Array.to_list Sys.argv)) in
@@ -1094,9 +884,7 @@ let () =
   (match unknown with
   | [] -> ()
   | _ :: _ ->
-      List.iter (fun p -> Printf.eprintf "unknown command %s\n" p) unknown;
-      usage stderr;
-      exit 2);
+      usage_error (String.concat "\n" (List.map (fun p -> "unknown command " ^ p) unknown)));
   match picks with
   | _ :: _ ->
       List.iter (fun p -> match find_command p with Some (_, _, f) -> f () | None -> ()) picks

@@ -60,6 +60,19 @@ let property_arg =
 
 let file_arg = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Edge-list file.")
 
+(* A malformed or unreadable edge-list file is a usage error: print the
+   path and line message and exit 2. *)
+let read_graph file =
+  match Graph_io.read_file file with
+  | g -> g
+  | exception Invalid_argument msg ->
+      Printf.eprintf "dipp: %s\n" msg;
+      exit 2
+  | exception Sys_error msg ->
+      let msg = if String.starts_with ~prefix:file msg then msg else file ^ ": " ^ msg in
+      Printf.eprintf "dipp: %s\n" msg;
+      exit 2
+
 let gen_graph family ~n ~seed =
   match family with
   | `Path_outerplanar -> fst (Gen.path_outerplanar ~n:(max 4 n) seed)
@@ -90,7 +103,7 @@ let gen_cmd =
 
 let check_cmd =
   let run file prop =
-    let g = Graph_io.read_file file in
+    let g = read_graph file in
     let answer, witness_note =
       match prop with
       | `Path_outerplanar -> (
@@ -156,7 +169,7 @@ let prove_graph prop g ~seed =
       report "treewidth<=2 DIP (Thm 1.7)" r.Treewidth2_dip.verdict r.Treewidth2_dip.stats
 
 let prove_cmd =
-  let run file prop seed = prove_graph prop (Graph_io.read_file file) ~seed in
+  let run file prop seed = prove_graph prop (read_graph file) ~seed in
   Cmd.v
     (Cmd.info "prove" ~doc:"Run the 5-round interactive proof on a graph from a file.")
     Term.(const run $ file_arg $ property_arg $ seed_arg)
@@ -227,7 +240,7 @@ let certify_cmd =
 
 let dot_cmd =
   let run file =
-    let g = Graph_io.read_file file in
+    let g = read_graph file in
     print_string (Graph_io.to_dot g)
   in
   Cmd.v (Cmd.info "dot" ~doc:"Print a DOT rendering of an edge-list file.") Term.(const run $ file_arg)
@@ -415,7 +428,7 @@ let net_run_cmd =
           Printf.eprintf "net: %s\n" msg;
           exit 2
     in
-    let g = Graph_io.read_file file in
+    let g = read_graph file in
     let parent =
       let p = Traversal.spanning_tree g 0 in
       Array.mapi (fun v pv -> if pv = v then -1 else pv) p
@@ -465,9 +478,25 @@ let lb_cmd =
     (Cmd.info "lower-bound" ~doc:"Measure the Theorem 1.8 one-round thresholds at a given size.")
     Term.(const run $ size_arg)
 
+(* cmdliner reads a token that starts with '-' as the next option, so
+   `--rate -0.1` would fail as a generic usage error before the option's
+   own range check runs; glue a negative number onto the long option
+   before it, as if it had been written `--rate=-0.1`. *)
+let argv =
+  let negative v = String.length v > 1 && v.[0] = '-' && Option.is_some (float_of_string_opt v) in
+  let rec glue = function
+    | opt :: v :: rest
+      when String.length opt > 2 && String.starts_with ~prefix:"--" opt
+           && (not (String.contains opt '=')) && negative v ->
+        (opt ^ "=" ^ v) :: glue rest
+    | a :: rest -> a :: glue rest
+    | [] -> []
+  in
+  Array.of_list (glue (Array.to_list Sys.argv))
+
 let () =
   let info = Cmd.info "dipp" ~version:"1.0.0" ~doc:"Distributed interactive proofs for planarity (Gil-Parter, PODC 2025)." in
   exit
-    (Cmd.eval
+    (Cmd.eval ~argv
        (Cmd.group info
           [ gen_cmd; check_cmd; prove_cmd; certify_cmd; dot_cmd; lb_cmd; record_cmd; replay_cmd; audit_cmd; serve_cmd; net_run_cmd ]))

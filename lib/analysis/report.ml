@@ -32,20 +32,7 @@ let pp_report ppf findings =
 
 (* ---- machine-readable renderers --------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Dipp_util.Json
 
 let pp_json ppf findings =
   let sorted = List.sort_uniq compare_findings findings in
@@ -54,7 +41,7 @@ let pp_json ppf findings =
     (fun i f ->
       Format.fprintf ppf "%s@.  {\"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \"%s\", \"msg\": \"%s\"}"
         (if i = 0 then "" else ",")
-        (json_escape f.file) f.line f.col (json_escape f.rule) (json_escape f.msg))
+        (Json.escape f.file) f.line f.col (Json.escape f.rule) (Json.escape f.msg))
     sorted;
   Format.fprintf ppf "%s]@." (match sorted with [] -> "" | _ :: _ -> "\n")
 
@@ -66,7 +53,7 @@ let pp_sarif ppf findings =
      \"2.1.0\",@.  \"runs\": [{@.    \"tool\": {\"driver\": {\"name\": \"dipp-lint\", \
      \"rules\": [";
   List.iteri
-    (fun i id -> Format.fprintf ppf "%s{\"id\": \"%s\"}" (if i = 0 then "" else ", ") (json_escape id))
+    (fun i id -> Format.fprintf ppf "%s{\"id\": \"%s\"}" (if i = 0 then "" else ", ") (Json.escape id))
     rule_ids;
   Format.fprintf ppf "]}},@.    \"results\": [";
   List.iteri
@@ -77,6 +64,6 @@ let pp_sarif ppf findings =
          {\"uri\": \"%s\"},@.         \"region\": {\"startLine\": %d, \"startColumn\": \
          %d}}}]}"
         (if i = 0 then "" else ",")
-        (json_escape f.rule) (json_escape f.msg) (json_escape f.file) (max 1 f.line) (f.col + 1))
+        (Json.escape f.rule) (Json.escape f.msg) (Json.escape f.file) (max 1 f.line) (f.col + 1))
     sorted;
   Format.fprintf ppf "%s]@.  }]@.}@." (match sorted with [] -> "" | _ :: _ -> "\n    ")

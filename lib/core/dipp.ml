@@ -30,6 +30,7 @@ module Prime = Dipp_util.Prime
 module Fp = Dipp_util.Fp
 module Poly = Dipp_util.Poly
 module Sha256 = Dipp_util.Sha256
+module Json = Dipp_util.Json
 
 (* graph substrate *)
 module Graph = Dipp_graph.Graph

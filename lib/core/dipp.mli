@@ -13,6 +13,7 @@ module Prime = Dipp_util.Prime
 module Fp = Dipp_util.Fp
 module Poly = Dipp_util.Poly
 module Sha256 = Dipp_util.Sha256
+module Json = Dipp_util.Json
 module Min_heap = Dipp_util.Min_heap
 
 (* graph substrate *)

@@ -56,19 +56,6 @@ let run_all ?jobs ~seed specs = List.map (fun s -> run ?jobs ~seed s) specs
 
 (* ---- the trials_report.json payload ---------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_string ?(timing = false) ~seed results =
   let b = Buffer.create 4096 in
   Buffer.add_string b (Printf.sprintf "{\"seed\": %d, \"experiments\": [" seed);
@@ -95,10 +82,10 @@ let report_string ?(timing = false) ~seed results =
            \   \"rounds\": %d, \"max_proof_bits\": %d, \"max_node_total_bits\": %d,\n\
            \   \"total_prover_bits\": %d, \"total_verifier_bits\": %d%s}"
            (if i = 0 then "" else ",")
-           (json_escape r.spec.Spec.id)
-           (json_escape r.spec.Spec.experiment)
-           (json_escape r.spec.Spec.family)
-           (json_escape r.spec.Spec.adversary)
+           (Json.escape r.spec.Spec.id)
+           (Json.escape r.spec.Spec.experiment)
+           (Json.escape r.spec.Spec.family)
+           (Json.escape r.spec.Spec.adversary)
            r.spec.Spec.n r.spec.Spec.trials r.completed r.rejected (rejection_rate r) lo hi
            rounds max_proof max_node prover_total verifier_total
            (if timing then

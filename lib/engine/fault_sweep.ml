@@ -250,7 +250,7 @@ let report_string ~seed points =
             \"duplicated\": %d,\n\
            \   \"late\": %d, \"retransmits\": %d, \"crashed_nodes\": %d, \"mean_heard\": %.6f}"
            (if i = 0 then "" else ",")
-           p.fam p.fault p.rate p.mode p.trials p.accepted (acceptance_rate p) lo hi p.sent
+           (Json.escape p.fam) (Json.escape p.fault) p.rate (Json.escape p.mode) p.trials p.accepted (acceptance_rate p) lo hi p.sent
            p.delivered p.dropped p.corrupted p.duplicated p.late p.retransmits p.crashed p.heard))
     points;
   Buffer.add_string b "\n]}\n";

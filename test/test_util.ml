@@ -404,6 +404,18 @@ let prop_poly_identity_testing =
       done;
       !collisions <= 3)
 
+(* ---- Json ----------------------------------------------------------- *)
+
+let test_json_escape () =
+  let check name expected input = Alcotest.(check string) name expected (Json.escape input) in
+  check "double quote" {|a\"b|} "a\"b";
+  check "backslash" {|a\\b|} "a\\b";
+  check "newline" {|a\nb|} "a\nb";
+  check "tab" {|a\tb|} "a\tb";
+  check "carriage return" {|a\rb|} "a\rb";
+  check "other control byte" {|a\u0001b|} "a\001b";
+  check "plain passes through" "e3/crossing-sweep n=150, [ok]" "e3/crossing-sweep n=150, [ok]"
+
 let () =
   Alcotest.run "util"
     [
@@ -464,4 +476,5 @@ let () =
           Alcotest.test_case "prefixes" `Quick test_poly_prefixes;
           qtest prop_poly_identity_testing;
         ] );
+      ("json", [ Alcotest.test_case "escape" `Quick test_json_escape ]);
     ]
