@@ -10,11 +10,6 @@
                                          engine soundness trials + trials_report.json
      dune exec bench/main.exe -- faults [--jobs N]
                                          fault-injection sweep + faults_report.json
-     dune exec bench/main.exe analysis  static-analyzer pass timings + BENCH_analysis.json
-     dune exec bench/main.exe -- serve [--jobs N]
-                                         batched verification service + BENCH_serve.json
-     dune exec bench/main.exe -- shard [--jobs N]
-                                         sharded network engine scaling + BENCH_shard.json
    Unknown commands or flags exit with code 2 and a usage message.
 
    The honest sweeps (E1, E3-E5, E7, E8) and the bounds report are rows
@@ -72,11 +67,9 @@ let print_engine_results results =
         (100. *. Engine.rejection_rate r)
         lo hi)
     results;
-  let wall = List.fold_left (fun acc r -> acc +. r.Engine.wall_clock_s) 0. results in
-  Printf.printf "engine: seed=%d jobs=%d wall-clock=%.2fs\n" (trials_seed ()) (jobs ()) wall
+  Printf.printf "engine: seed=%d jobs=%d\n" (trials_seed ()) (jobs ())
 
 let out_path var default = Option.value (Sys.getenv_opt var) ~default
-let env_flag var = match Sys.getenv_opt var with Some "1" -> true | Some _ | None -> false
 
 (* ---- the honest scaling table -------------------------------------- *)
 
@@ -485,20 +478,17 @@ let bounds () =
 
 (* The full soundness table on the engine, plus the machine-readable
    record (trials_report.json; DIPP_TRIALS_OUT overrides the path).  The
-   JSON is byte-identical for every --jobs value: wall-clock and worker
-   count enter it only with DIPP_TRIALS_TIMING=1 (ANALYSIS.md, determinism
-   contract). *)
+   JSON carries no timing, so it is byte-identical for every --jobs value
+   (ANALYSIS.md, determinism contract). *)
 let trials () =
   header "TRIALS  engine soundness record (E2-E8) -> trials_report.json";
   Label_cache.reset ();
   let seed = trials_seed () in
   let results = run_specs Soundness.specs in
   print_engine_results results;
-  let timing = env_flag "DIPP_TRIALS_TIMING" in
   let out = out_path "DIPP_TRIALS_OUT" "trials_report.json" in
-  Engine.write_report ~path:out ~timing ~seed results;
-  Printf.printf "wrote %s: %d experiments%s\n" out (List.length results)
-    (if timing then " (with timing fields)" else "");
+  Engine.write_report ~path:out ~seed results;
+  Printf.printf "wrote %s: %d experiments\n" out (List.length results);
   (* stdout only: the JSON stays byte-identical with the cache on or off *)
   print_endline (Label_cache.report ())
 
@@ -518,296 +508,6 @@ let faults () =
     (List.length points) seed (jobs ()) sw.Fault_sweep.trials;
   (* stdout only: the JSON stays byte-identical with the cache on or off *)
   print_endline (Label_cache.report ())
-
-(* Wall-clock for the four static passes (the full dipp-lint pipeline,
-   then dipp-flow / dipp-refine / dipp-race in isolation) over the lib
-   tree, written as BENCH_analysis.json (DIPP_ANALYSIS_OUT overrides the
-   path).  The per-pass finding counts double as a sanity check: the
-   full pipeline must report lib clean; the isolated passes report raw
-   counts, before suppression filtering. *)
-let analysis () =
-  header "ANALYSIS  static-analyzer pass timings over lib -> BENCH_analysis.json";
-  let module A = Dipp_analysis in
-  let rec ml_files acc path =
-    if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list |> List.sort String.compare
-      |> List.filter (fun name -> name <> "" && name.[0] <> '.' && name <> "_build")
-      |> List.fold_left (fun acc name -> ml_files acc (Filename.concat path name)) acc
-    else if Filename.check_suffix path ".ml" then path :: acc
-    else acc
-  in
-  let files = List.rev (ml_files [] "lib") in
-  let parsed =
-    List.filter_map
-      (fun file ->
-        try
-          let src = In_channel.with_open_bin file In_channel.input_all in
-          Some (file, src, A.Ast_scan.parse_file file)
-        with _ -> None)
-      files
-  in
-  let program = A.Typed_scan.empty () in
-  List.iter
-    (fun (file, _, structure) ->
-      A.Typed_scan.add_structure ~file program ~modname:(A.Typed_scan.module_name file) structure)
-    parsed;
-  (* each pass's JSON row is written as it finishes *)
-  let passes = Buffer.create 256 and count = ref 0 in
-  let time name f =
-    let t0 = Unix.gettimeofday () in
-    let findings = List.length (f ()) in
-    let wall = Unix.gettimeofday () -. t0 in
-    Printf.printf "%-8s %8.3fs %5d finding(s)\n" name wall findings;
-    Printf.bprintf passes "%s\n  {\"pass\": \"%s\", \"wall_s\": %.6f, \"findings\": %d}"
-      (if !count = 0 then "" else ",")
-      name wall findings;
-    incr count
-  in
-  let per_file check () =
-    List.concat_map (fun (file, src, structure) -> check file src structure) parsed
-  in
-  time "lint" (fun () -> A.Lint_rules.lint_tree "lib");
-  time "flow" (fun () ->
-      List.concat_map (fun (_, _, structure) -> A.Flow.check ~program structure) parsed);
-  time "refine"
-    (per_file (fun filename src structure ->
-         let annots = A.Refine.annotations_of_source src in
-         A.Refine.check ~program ~annots ~filename structure));
-  time "race"
-    (per_file (fun filename src structure ->
-         let annots = A.Race.annotations_of_source src in
-         A.Race.check ~program ~annots ~filename structure));
-  let out = out_path "DIPP_ANALYSIS_OUT" "BENCH_analysis.json" in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\"bench\": \"analysis\", \"tree\": \"lib\", \"files\": %d, \"passes\": [%s\n]}\n"
-    (List.length parsed) (Buffer.contents passes);
-  close_out oc;
-  Printf.printf "wrote %s: %d files, %d passes\n" out (List.length parsed) !count
-
-(* Batched verification service throughput: a fixed synthetic request
-   stream over all seven families, answered once on cold caches.  The
-   response digest and every cache counter are pure functions of the
-   stream — identical for any --jobs value and with the label cache on or
-   off — so BENCH_serve.json (DIPP_SERVE_OUT overrides the path) keeps
-   all timing-dependent numbers inside its "timing" object and nothing
-   else. *)
-let serve () =
-  header "SERVE  batched verification service -> BENCH_serve.json";
-  let request (fam : Family.t) n gseed seed =
-    match Bounds.find fam.Family.protocol with
-    | Some row ->
-        let budget = Bounds.envelope row ~n ~delta:(max 2 (n - 1)) in
-        { Serve.family = fam.Family.name; n; gseed; seed; budget }
-    | None -> invalid_arg ("no bounds row " ^ fam.Family.protocol)
-  in
-  let base =
-    List.concat_map
-      (fun (fam, sizes) ->
-        List.concat_map
-          (fun n ->
-            List.concat_map (fun gseed -> List.map (request fam n gseed) [ 1; 2; 3 ]) [ 1; 2 ])
-          sizes)
-      [
-        (Family.lr, [ 64; 128 ]);
-        (Family.path_outerplanarity, [ 48; 64 ]);
-        (Family.outerplanarity, [ 32; 64 ]);
-        (Family.planar_embedding, [ 24 ]);
-        (Family.planarity, [ 24 ]);
-        (Family.series_parallel, [ 24; 40 ]);
-        (Family.treewidth2, [ 32; 64 ]);
-      ]
-  in
-  (* replay a slice of the stream so the service sees exact-repeat hits *)
-  let repeats = List.filteri (fun i _ -> i mod 6 = 0) base in
-  let stream = Array.of_list (base @ repeats) in
-  Label_cache.reset ();
-  Serve.Prepared_cache.reset ();
-  let t0 = Unix.gettimeofday () in
-  let out = Serve.execute ~jobs:(jobs ()) stream in
-  let wall = Unix.gettimeofday () -. t0 in
-  let pc_lookups, pc_distinct, pc_resident, pc_capacity = Serve.Prepared_cache.stats () in
-  let p50, p99 = match Serve.latency_percentiles out with Some ps -> ps | None -> (0., 0.) in
-  let rps = float_of_int (Array.length out) /. wall in
-  Printf.printf "%5d req  %7.3fs  %8.1f req/s  p50=%6.3fms  p99=%6.3fms\n" (Array.length out)
-    wall rps (p50 *. 1e3) (p99 *. 1e3);
-  let digest = Serve.log_digest (Serve.response_log out) in
-  Printf.printf "response digest %s\n" digest;
-  print_endline (Serve.Prepared_cache.report () ^ "; " ^ Label_cache.report ());
-  let path = out_path "DIPP_SERVE_OUT" "BENCH_serve.json" in
-  let oc = open_out path in
-  Printf.fprintf oc "{\"bench\": \"serve\",\n";
-  Printf.fprintf oc " \"requests\": %d,\n" (Array.length stream);
-  Printf.fprintf oc " \"families\": [%s],\n"
-    (String.concat ", " (List.map (fun name -> "\"" ^ Json.escape name ^ "\"") Serve.family_names));
-  Printf.fprintf oc " \"response_digest\": \"%s\",\n" (Json.escape digest);
-  Printf.fprintf oc
-    " \"prepared_cache\": {\"lookups\": %d, \"distinct\": %d, \"resident\": %d, \"capacity\": %d},\n"
-    pc_lookups pc_distinct pc_resident pc_capacity;
-  Printf.fprintf oc
-    " \"timing\": {\"jobs\": %d, \"wall_s\": %.6f, \"requests_per_sec\": %.1f, \"p50_ms\": %.4f, \"p99_ms\": %.4f}}\n"
-    (jobs ()) wall rps (p50 *. 1e3) (p99 *. 1e3);
-  close_out oc;
-  Printf.fprintf stdout "wrote %s: %d requests, digest %s\n" path (Array.length stream)
-    (String.sub digest 0 12)
-
-(* Sharded network-engine scaling: the 10^3..10^6 planar instance ladder
-   (10^6 behind DIPP_HEAVY=1) through full DIP round-trips on {!Shard} at
-   1/2/4/8 shards.  Every result field is checked identical across the
-   shard grid and against the independent reliable reference (the
-   decision-only {!Net.replay_check} verdict and the closed-form
-   counters), and a faulty probe re-checks invariance across shard counts, worker counts
-   and partition seeds on the smallest rung.  BENCH_shard.json
-   (DIPP_SHARD_OUT overrides the path) keeps wall-clock and events/s
-   inside its "timing" object — everything outside it is byte-identical
-   for any machine, DIPP_SHARDS and --jobs value. *)
-let shard () =
-  header "SHARD  sharded network engine scaling -> BENCH_shard.json";
-  let heavy = env_flag "DIPP_HEAVY" in
-  let ladder = [ 1_000; 10_000; 100_000 ] @ if heavy then [ 1_000_000 ] else [] in
-  let shard_grid = [ 1; 2; 4; 8 ] in
-  let families =
-    [
-      ("triangulated-grid", fun n -> Gen.triangulated_grid ~n 1);
-      ("nested-triangulation", fun n -> Gen.nested_triangulation ~n 1);
-    ]
-  in
-  let render (r : Net.result) =
-    let ints l = String.concat "," (List.map string_of_int l) in
-    Printf.sprintf
-      "accepted=%b rejecting=[%s] crashed=[%s] heard=%.17g sent=%d delivered=%d dropped=%d \
-       corrupted=%d duplicated=%d late=%d retransmits=%d acks=%d"
-      r.Net.accepted (ints r.Net.rejecting) (ints r.Net.crashed_nodes) r.Net.heard r.Net.stats.Net.sent
-      r.Net.stats.Net.delivered r.Net.stats.Net.dropped r.Net.stats.Net.corrupted
-      r.Net.stats.Net.duplicated r.Net.stats.Net.late r.Net.stats.Net.retransmits r.Net.stats.Net.acks
-  in
-  Printf.printf "%-22s %9s %8s %7s %9s %10s %7s %10s\n" "family" "n" "shards" "windows" "events"
-    "cross" "accept" "events/s";
-  (* the deterministic and the timing half of each row, written as it runs *)
-  let rows = Buffer.create 4096 and timing_rows = Buffer.create 2048 and count = ref 0 in
-  let eps_at = Hashtbl.create 32 in
-  List.iter
-    (fun n ->
-      List.iter
-        (fun (fam, gen) ->
-          let g = gen n in
-          let proto = Net_protocols.pls_spanning_tree ~graph:g ~parent:(tree_parent g) in
-          let reference = ref None in
-          List.iter
-            (fun shards ->
-              let t0 = Unix.gettimeofday () in
-              let r, st =
-                Shard.execute_ex ~shards ~jobs:(jobs ()) ~rng:(Rng.create 42) ~model:Fault.reliable
-                  proto
-              in
-              let wall = Unix.gettimeofday () -. t0 in
-              let rendered = render r in
-              let invariant =
-                match !reference with
-                | None ->
-                    reference := Some rendered;
-                    true
-                | Some base -> String.equal base rendered
-              in
-              let eps = float_of_int st.Shard.events /. wall in
-              let cross_frac =
-                if st.Shard.events = 0 then 0.
-                else float_of_int st.Shard.cross_messages /. float_of_int st.Shard.events
-              in
-              if not r.Net.accepted then
-                failwith (Printf.sprintf "shard bench: %s n=%d rejected a yes-instance" fam n);
-              if not invariant then
-                failwith
-                  (Printf.sprintf "shard bench: %s n=%d result differs at %d shards" fam n shards);
-              Printf.printf "%-22s %9d %8d %7d %9d %10.4f %7b %10.0f\n" fam n st.Shard.shards
-                st.Shard.windows st.Shard.events cross_frac r.Net.accepted eps;
-              let sep = if !count = 0 then "" else "," in
-              Printf.bprintf rows
-                "%s\n\
-                \  {\"family\": \"%s\", \"n\": %d, \"m\": %d, \"shards\": %d, \"windows\": %d, \
-                 \"events\": %d, \"cross_messages\": %d, \"cross_fraction\": %.6f, \
-                 \"accepted\": %b, \"heard\": %.6f, \"invariant\": %b}"
-                sep fam n (Graph.m g) st.Shard.shards st.Shard.windows st.Shard.events
-                st.Shard.cross_messages cross_frac r.Net.accepted r.Net.heard invariant;
-              Printf.bprintf timing_rows
-                "%s\n   {\"family\": \"%s\", \"n\": %d, \"shards\": %d, \"wall_s\": %.6f, \
-                 \"events_per_sec\": %.1f}"
-                sep fam n st.Shard.shards wall eps;
-              Hashtbl.replace eps_at (fam, n, shards) eps;
-              incr count)
-            shard_grid;
-          (* reliable reference: the replayed verdict, every directed edge
-             sent once per round and acknowledged once, nothing lost *)
-          let v = Net.replay_check proto ~frames:proto.Net.rounds in
-          let sent = 2 * Graph.m g * Array.length proto.Net.rounds in
-          let expected =
-            render
-              {
-                Net.accepted = v.Dip.accepted;
-                rejecting = v.Dip.rejecting;
-                crashed_nodes = [];
-                heard = 1.0;
-                stats =
-                  {
-                    Net.sent;
-                    delivered = 2 * sent;
-                    dropped = 0;
-                    corrupted = 0;
-                    duplicated = 0;
-                    late = 0;
-                    retransmits = 0;
-                    acks = sent;
-                  };
-              }
-          in
-          if not (String.equal expected (Option.get !reference)) then
-            failwith
-              (Printf.sprintf "shard bench: %s n=%d differs from the reliable reference" fam n))
-        families)
-    ladder;
-  (* faulty probe: shard count, worker count and partition seed must not
-     change the result even when the fault streams are active *)
-  let probe_g = Gen.triangulated_grid ~n:1_000 1 in
-  let probe = Net_protocols.pls_spanning_tree ~graph:probe_g ~parent:(tree_parent probe_g) in
-  let probe_run ~shards ~jobs ~partition_seed =
-    render
-      (Shard.execute ~shards ~jobs ~partition_seed ~rng:(Rng.create 7) ~model:(Fault.chaos ~rate:0.05)
-         probe)
-  in
-  let probe_base = probe_run ~shards:1 ~jobs:1 ~partition_seed:0 in
-  let probe_ok =
-    List.for_all
-      (fun (shards, jobs, partition_seed) ->
-        String.equal probe_base (probe_run ~shards ~jobs ~partition_seed))
-      [ (2, 1, 0); (4, 2, 0); (8, 4, 0); (4, 4, 3); (8, 1, 11) ]
-  in
-  Printf.printf "faulty probe (chaos 0.05, n=1000): %s\n"
-    (if probe_ok then "invariant across shards/jobs/partition seeds" else "DIVERGED");
-  if not probe_ok then failwith "shard bench: faulty probe diverged";
-  let speedup =
-    let find shards = Hashtbl.find_opt eps_at ("triangulated-grid", 100_000, shards) in
-    match (find 8, find 1) with
-    | Some e8, Some e1 when e1 > 0. -> e8 /. e1
-    | _ -> 0.
-  in
-  Printf.printf "8-shard vs 1-shard events/s at n=100000 (grid): %.2fx (on %d core(s))\n" speedup
-    (Domain.recommended_domain_count ());
-  let out = out_path "DIPP_SHARD_OUT" "BENCH_shard.json" in
-  let oc = open_out out in
-  Printf.fprintf oc "{\"bench\": \"shard\",\n";
-  Printf.fprintf oc " \"ladder\": [%s],\n" (String.concat ", " (List.map string_of_int ladder));
-  Printf.fprintf oc " \"heavy\": %b,\n" heavy;
-  Printf.fprintf oc " \"shard_grid\": [%s],\n"
-    (String.concat ", " (List.map string_of_int shard_grid));
-  Printf.fprintf oc " \"probe_invariant\": %b,\n" probe_ok;
-  Printf.fprintf oc " \"rows\": [%s\n ],\n" (Buffer.contents rows);
-  Printf.fprintf oc " \"timing\": {\"jobs\": %d, \"cores\": %d, \"speedup_8v1_grid_1e5\": %.4f,\n"
-    (jobs ())
-    (Domain.recommended_domain_count ())
-    speedup;
-  Printf.fprintf oc "  \"rows\": [%s\n  ]}}\n" (Buffer.contents timing_rows);
-  close_out oc;
-  Printf.printf "wrote %s: %d rows (heavy=%b)\n" out !count heavy
 
 (* The one command table: execution order, dispatch, and the usage text
    all come from this list, so a new experiment needs exactly one row. *)
@@ -840,9 +540,6 @@ let commands =
     ("bounds", "claim-vs-measured bounds_report.json", bounds);
     ("trials", "engine soundness trials -> trials_report.json", trials);
     ("faults", "fault-injection sweep -> faults_report.json", faults);
-    ("analysis", "static-analyzer pass timings -> BENCH_analysis.json", analysis);
-    ("serve", "batched verification service -> BENCH_serve.json", serve);
-    ("shard", "sharded network engine scaling -> BENCH_shard.json", shard);
   ]
 
 let find_command p =

@@ -73,6 +73,17 @@ let read_graph file =
       Printf.eprintf "dipp: %s\n" msg;
       exit 2
 
+(* A graph outside a protocol's precondition is a usage error too: it
+   needs at least [min_n] nodes, and a connected graph when [connected]. *)
+let require_graph file ~min_n ~connected g =
+  let fail msg =
+    Printf.eprintf "dipp: %s: %s\n" file msg;
+    exit 2
+  in
+  if Graph.n g < min_n then
+    fail (Printf.sprintf "need a graph with at least %d node(s), got %d" min_n (Graph.n g))
+  else if connected && not (Traversal.is_connected g) then fail "need a connected graph"
+
 let gen_graph family ~n ~seed =
   match family with
   | `Path_outerplanar -> fst (Gen.path_outerplanar ~n:(max 4 n) seed)
@@ -169,7 +180,15 @@ let prove_graph prop g ~seed =
       report "treewidth<=2 DIP (Thm 1.7)" r.Treewidth2_dip.verdict r.Treewidth2_dip.stats
 
 let prove_cmd =
-  let run file prop seed = prove_graph prop (read_graph file) ~seed in
+  let run file prop seed =
+    let g = read_graph file in
+    (* the [run] preconditions of the five DIPs *)
+    (match prop with
+    | `Path_outerplanar -> require_graph file ~min_n:1 ~connected:false g
+    | `Sp -> require_graph file ~min_n:2 ~connected:true g
+    | `Outerplanar | `Planar | `Tw2 -> require_graph file ~min_n:1 ~connected:true g);
+    prove_graph prop g ~seed
+  in
   Cmd.v
     (Cmd.info "prove" ~doc:"Run the 5-round interactive proof on a graph from a file.")
     Term.(const run $ file_arg $ property_arg $ seed_arg)
@@ -429,6 +448,8 @@ let net_run_cmd =
           exit 2
     in
     let g = read_graph file in
+    (* the spanning tree is rooted at node 0 *)
+    require_graph file ~min_n:1 ~connected:false g;
     let parent =
       let p = Traversal.spanning_tree g 0 in
       Array.mapi (fun v pv -> if pv = v then -1 else pv) p

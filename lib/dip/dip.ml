@@ -221,6 +221,22 @@ let merge_trials stats_list =
           })
         first rest
 
+(* A composite protocol's stats (blocks, SP components, host ears): the
+   envelope of its own meter and its sub-runs for sizes and rounds, the
+   sum for the bit totals, and the top-level meter's schedule. *)
+let merge_components top components =
+  List.fold_left
+    (fun acc s ->
+      {
+        acc with
+        interaction_rounds = max acc.interaction_rounds s.interaction_rounds;
+        proof_size_bits = max acc.proof_size_bits s.proof_size_bits;
+        max_node_total_bits = max acc.max_node_total_bits s.max_node_total_bits;
+        total_prover_bits = acc.total_prover_bits + s.total_prover_bits;
+        total_verifier_bits = acc.total_verifier_bits + s.total_verifier_bits;
+      })
+    top components
+
 let pp_stats ppf s =
   Format.fprintf ppf "rounds=%d proof=%db node-total=%db prover-total=%db coins=%db"
     s.interaction_rounds s.proof_size_bits s.max_node_total_bits s.total_prover_bits

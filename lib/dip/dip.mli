@@ -118,3 +118,10 @@ val merge_parallel : stats list -> stats
     schedule are kept from the longer one.  Raises [Invalid_argument] on
     the empty list, and when two inputs disagree on a phase kind at the
     same round: the shorter schedule must be a prefix of the longer. *)
+
+val merge_components : stats -> stats list -> stats
+(** [merge_components top subs]: stats of a composite protocol whose own
+    meter gave [top] and whose sub-runs on parts of the graph (blocks,
+    SP components, host ears) gave [subs].  Rounds, proof size and node total are the max over [top] and
+    [subs]; the prover and verifier bit totals add; [phases] and
+    [per_phase] are [top]'s.  [merge_components top [] = top]. *)

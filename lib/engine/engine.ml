@@ -5,8 +5,6 @@ type result = {
   completed : int;
   rejected : int;
   envelope : Dip.stats option;
-  wall_clock_s : float;
-  jobs : int;
 }
 
 let rejection_rate r =
@@ -30,11 +28,9 @@ let wilson95 ~rejected ~total =
 let run ?jobs ~seed (spec : Spec.t) =
   let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let spec_rng = Rng.split_string (Rng.create seed) spec.Spec.id in
-  let t0 = Unix.gettimeofday () in
   let outcomes =
     Pool.run ~jobs spec.Spec.trials (fun i -> spec.Spec.trial (Rng.split spec_rng i) i)
   in
-  let wall_clock_s = Unix.gettimeofday () -. t0 in
   (* Fold in index order: the aggregate must not depend on which worker
      finished first. *)
   let completed = ref 0 and rejected = ref 0 and stats_rev = ref [] in
@@ -50,13 +46,13 @@ let run ?jobs ~seed (spec : Spec.t) =
   let envelope =
     match !stats_rev with [] -> None | l -> Some (Dip.merge_trials (List.rev l))
   in
-  { spec; completed = !completed; rejected = !rejected; envelope; wall_clock_s; jobs }
+  { spec; completed = !completed; rejected = !rejected; envelope }
 
 let run_all ?jobs ~seed specs = List.map (fun s -> run ?jobs ~seed s) specs
 
 (* ---- the trials_report.json payload ---------------------------------- *)
 
-let report_string ?(timing = false) ~seed results =
+let report_string ~seed results =
   let b = Buffer.create 4096 in
   Buffer.add_string b (Printf.sprintf "{\"seed\": %d, \"experiments\": [" seed);
   List.iteri
@@ -80,28 +76,19 @@ let report_string ?(timing = false) ~seed results =
            \   \"n\": %d, \"trials\": %d, \"completed\": %d, \"rejected\": %d,\n\
            \   \"rejection_rate\": %.6f, \"ci95_low\": %.6f, \"ci95_high\": %.6f,\n\
            \   \"rounds\": %d, \"max_proof_bits\": %d, \"max_node_total_bits\": %d,\n\
-           \   \"total_prover_bits\": %d, \"total_verifier_bits\": %d%s}"
+           \   \"total_prover_bits\": %d, \"total_verifier_bits\": %d}"
            (if i = 0 then "" else ",")
            (Json.escape r.spec.Spec.id)
            (Json.escape r.spec.Spec.experiment)
            (Json.escape r.spec.Spec.family)
            (Json.escape r.spec.Spec.adversary)
            r.spec.Spec.n r.spec.Spec.trials r.completed r.rejected (rejection_rate r) lo hi
-           rounds max_proof max_node prover_total verifier_total
-           (if timing then
-              Printf.sprintf ",\n   \"jobs\": %d, \"wall_clock_s\": %.3f" r.jobs r.wall_clock_s
-            else "")))
+           rounds max_proof max_node prover_total verifier_total))
     results;
-  let total_wall = List.fold_left (fun acc r -> acc +. r.wall_clock_s) 0. results in
-  Buffer.add_string b
-    (if timing then
-       Printf.sprintf "\n],\n \"jobs\": %d, \"wall_clock_s\": %.3f}\n"
-         (match results with r :: _ -> r.jobs | [] -> 1)
-         total_wall
-     else "\n]}\n");
+  Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
-let write_report ?path ?timing ~seed results =
+let write_report ?path ~seed results =
   let path =
     match path with
     | Some p -> p
@@ -113,4 +100,4 @@ let write_report ?path ?timing ~seed results =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (report_string ?timing ~seed results))
+    (fun () -> output_string oc (report_string ~seed results))

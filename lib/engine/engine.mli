@@ -10,10 +10,8 @@
     The determinism contract (ANALYSIS.md):
     - per-trial outcomes are a pure function of [(seed, spec id, index)];
     - aggregation folds in index order, independent of completion order;
-    - {!report_string} contains no timing by default — wall-clock and
-      worker count enter the JSON only with [~timing:true] (bench gates
-      this on [DIPP_TRIALS_TIMING=1]), keeping the default report
-      byte-comparable across machines and worker counts. *)
+    - {!report_string} contains no timing and no worker count, so the
+      report is byte-comparable across machines and worker counts. *)
 
 module Spec = Spec
 
@@ -24,8 +22,6 @@ type result = {
   envelope : Dip.stats option;
       (** per-trial stats folded with {!Dip.merge_trials} (max envelope +
           cumulative bit totals); [None] iff no trial completed *)
-  wall_clock_s : float;  (** not part of the deterministic report *)
-  jobs : int;  (** worker count actually used *)
 }
 
 val rejection_rate : result -> float
@@ -41,11 +37,10 @@ val run : ?jobs:int -> seed:int -> Spec.t -> result
 val run_all : ?jobs:int -> seed:int -> Spec.t list -> result list
 (** [run] over each spec, in order. *)
 
-val report_string : ?timing:bool -> seed:int -> result list -> string
-(** The [trials_report.json] payload.  Deterministic unless
-    [timing = true] (default [false]), which adds per-experiment and
-    top-level wall-clock and worker-count fields. *)
+val report_string : seed:int -> result list -> string
+(** The [trials_report.json] payload: a pure function of [seed] and the
+    results. *)
 
-val write_report : ?path:string -> ?timing:bool -> seed:int -> result list -> unit
+val write_report : ?path:string -> seed:int -> result list -> unit
 (** Writes {!report_string} to [path] (default ["trials_report.json"],
     overridable with the [DIPP_TRIALS_OUT] environment variable). *)

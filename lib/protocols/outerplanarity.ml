@@ -37,17 +37,12 @@ let biconnected_witness ?start_ g =
     | Some cyc -> Some (cycle_to_path_from cyc ~start_)
     | None -> None
 
-let run_biconnected ?(seed = 0) ?(c = 3) ?param_n ?retain ?codec ~prover g =
-  let witness = biconnected_witness g in
-  let result =
-    Path_outerplanarity.run ~seed ~c ?param_n ?retain ?codec ~prover
-      { Path_outerplanarity.graph = g; witness }
-  in
-  (* Theorem 6.1's extra condition: the committed path's endpoints are
-     adjacent (P closes into the Hamiltonian cycle).  The closing edge is
-     marked by the prover; each endpoint checks the mark on one of its
-     incident edges.  Here: endpoints of the committed path verify
-     adjacency. *)
+(* Theorem 6.1's extra condition: the committed path's endpoints are
+   adjacent (P closes into the Hamiltonian cycle).  The closing edge is
+   marked by the prover; each endpoint checks the mark on one of its
+   incident edges.  Here: endpoints of the committed path verify
+   adjacency, and a failed check rejects [result] at node 0. *)
+let close_cycle g witness (result : Path_outerplanarity.result) =
   let closing_ok =
     match witness with
     | Some (first :: _ as w) when List.length w >= 3 ->
@@ -56,11 +51,13 @@ let run_biconnected ?(seed = 0) ?(c = 3) ?param_n ?retain ?codec ~prover g =
     | None -> false
   in
   if closing_ok then result
-  else
-    {
-      result with
-      Path_outerplanarity.verdict = { Dip.accepted = false; rejecting = [ 0 ] };
-    }
+  else { result with Path_outerplanarity.verdict = { Dip.accepted = false; rejecting = [ 0 ] } }
+
+let run_biconnected ?(seed = 0) ?(c = 3) ?param_n ?retain ?codec ~prover g =
+  let witness = biconnected_witness g in
+  close_cycle g witness
+    (Path_outerplanarity.run ~seed ~c ?param_n ?retain ?codec ~prover
+       { Path_outerplanarity.graph = g; witness })
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 1.3: general outerplanarity via the block-cut tree.         *)
@@ -227,21 +224,11 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
                 List.map (fun v -> inv.(v)) p)
               comp_paths.(b)
           in
-          let r =
-            Path_outerplanarity.run ~seed:(seed + (13 * b)) ~c ~param_n:n ~codec ~prover:comp_prover
-              { Path_outerplanarity.graph = sub; witness }
-          in
-          (* Theorem 6.1 closing-edge check *)
-          let closing_ok =
-            match witness with
-            | Some (first :: _ as w) when List.length w >= 3 ->
-                Graph.mem_edge sub first (List.nth w (List.length w - 1))
-            | Some _ -> true
-            | None -> false
-          in
           Some
-            (if closing_ok then r
-             else { r with Path_outerplanarity.verdict = { Dip.accepted = false; rejecting = [ 0 ] } })
+            (close_cycle sub witness
+               (Path_outerplanarity.run ~seed:(seed + (13 * b)) ~c ~param_n:n ~codec
+                  ~prover:comp_prover
+                  { Path_outerplanarity.graph = sub; witness }))
         end)
       (List.init k Fun.id)
   in
@@ -284,18 +271,8 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
     List.for_all (fun r -> r.Path_outerplanarity.verdict.Dip.accepted) component_results
   in
   let verdict = { Dip.accepted = structural.Dip.accepted && comp_ok; rejecting = structural.Dip.rejecting } in
-  let comp_stats = List.map (fun r -> r.Path_outerplanarity.stats) component_results in
-  let max_comp =
-    List.fold_left
-      (fun acc s ->
-        {
-          acc with
-          Dip.proof_size_bits = max acc.Dip.proof_size_bits s.Dip.proof_size_bits;
-          max_node_total_bits = max acc.Dip.max_node_total_bits s.Dip.max_node_total_bits;
-          total_prover_bits = acc.Dip.total_prover_bits + s.Dip.total_prover_bits;
-          total_verifier_bits = acc.Dip.total_verifier_bits + s.Dip.total_verifier_bits;
-          interaction_rounds = max acc.Dip.interaction_rounds s.Dip.interaction_rounds;
-        })
-      (Dip.stats meter) comp_stats
+  let stats =
+    Dip.merge_components (Dip.stats meter)
+      (List.map (fun r -> r.Path_outerplanarity.stats) component_results)
   in
-  { verdict; stats = max_comp; component_results; transcript = Dip.transcript meter }
+  { verdict; stats; component_results; transcript = Dip.transcript meter }

@@ -336,17 +336,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
     }
   in
   let stats =
-    List.fold_left
-      (fun acc r ->
-        let s = r.Path_outerplanarity.stats in
-        {
-          acc with
-          Dip.proof_size_bits = max acc.Dip.proof_size_bits s.Dip.proof_size_bits;
-          max_node_total_bits = max acc.Dip.max_node_total_bits s.Dip.max_node_total_bits;
-          total_prover_bits = acc.Dip.total_prover_bits + s.Dip.total_prover_bits;
-          total_verifier_bits = acc.Dip.total_verifier_bits + s.Dip.total_verifier_bits;
-          interaction_rounds = max acc.Dip.interaction_rounds s.Dip.interaction_rounds;
-        })
-      (Dip.stats meter) host_results
+    Dip.merge_components (Dip.stats meter)
+      (List.map (fun r -> r.Path_outerplanarity.stats) host_results)
   in
   { verdict; stats; host_results; transcript = Dip.transcript meter }

@@ -168,17 +168,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
     { Dip.accepted = structural.Dip.accepted && comp_ok; rejecting = structural.Dip.rejecting }
   in
   let stats =
-    List.fold_left
-      (fun acc r ->
-        let s = r.Series_parallel_dip.stats in
-        {
-          acc with
-          Dip.proof_size_bits = max acc.Dip.proof_size_bits s.Dip.proof_size_bits;
-          max_node_total_bits = max acc.Dip.max_node_total_bits s.Dip.max_node_total_bits;
-          total_prover_bits = acc.Dip.total_prover_bits + s.Dip.total_prover_bits;
-          total_verifier_bits = acc.Dip.total_verifier_bits + s.Dip.total_verifier_bits;
-          interaction_rounds = max acc.Dip.interaction_rounds s.Dip.interaction_rounds;
-        })
-      (Dip.stats meter) component_results
+    Dip.merge_components (Dip.stats meter)
+      (List.map (fun r -> r.Series_parallel_dip.stats) component_results)
   in
   { verdict; stats; component_results; transcript = Dip.transcript meter }

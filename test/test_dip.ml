@@ -108,6 +108,25 @@ let prop_merge_singleton_identity =
       let s = stats_of_sizes sizes in
       Dip.merge_trials [ s ] = s && Dip.merge_parallel [ s ] = s)
 
+let prop_merge_components =
+  QCheck.Test.make ~name:"merge_components: size envelope, summed totals, top schedule"
+    ~count:200
+    QCheck.(pair arb_sizes (list_of_size Gen.(int_range 0 4) arb_sizes))
+    (fun (top_sizes, batch) ->
+      let top = stats_of_sizes top_sizes and subs = List.map stats_of_sizes batch in
+      let m = Dip.merge_components top subs in
+      let all = top :: subs in
+      let max_of f = List.fold_left (fun acc s -> max acc (f s)) 0 all
+      and sum f = List.fold_left (fun acc s -> acc + f s) 0 all in
+      m.Dip.interaction_rounds = max_of (fun s -> s.Dip.interaction_rounds)
+      && m.Dip.proof_size_bits = max_of (fun s -> s.Dip.proof_size_bits)
+      && m.Dip.max_node_total_bits = max_of (fun s -> s.Dip.max_node_total_bits)
+      && m.Dip.total_prover_bits = sum (fun s -> s.Dip.total_prover_bits)
+      && m.Dip.total_verifier_bits = sum (fun s -> s.Dip.total_verifier_bits)
+      && m.Dip.phases = top.Dip.phases
+      && m.Dip.per_phase = top.Dip.per_phase
+      && Dip.merge_components top (List.rev subs) = m)
+
 let prop_merge_envelope =
   QCheck.Test.make ~name:"merge_trials envelope >= inputs; merge_parallel totals = sums"
     ~count:200
@@ -353,6 +372,7 @@ let () =
           qtest prop_merge_assoc;
           qtest prop_merge_singleton_identity;
           qtest prop_merge_envelope;
+          qtest prop_merge_components;
           Alcotest.test_case "all accept" `Quick test_all_accept;
         ] );
       ( "forest-encoding",

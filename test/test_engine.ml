@@ -114,7 +114,7 @@ let test_write_report_roundtrip () =
         let rec go i = i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1)) in
         go 0
       in
-      Alcotest.(check bool) "no timing fields by default" false (contains written "wall_clock"))
+      Alcotest.(check bool) "no timing fields" false (contains written "wall_clock"))
 
 (* ---- golden soundness counts (E2/E3/E5) ------------------------------ *)
 

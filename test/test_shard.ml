@@ -11,19 +11,20 @@
      is acknowledged once), on every protocol tier;
    - result invariance: the rendered result equals Net.execute's across
      shard counts 1/2/4/8, worker counts 1/2, and partition seeds, under
-     every fault model — the determinism contract (net.mli);
-   - scale: a 10^6-node ladder instance completes a full round-trip
-     (behind DIPP_HEAVY=1; the 10^4 smoke always runs). *)
+     every fault model, and on a 1 000-node ladder grid under chaos —
+     the determinism contract (net.mli);
+   - scale: the 10^4 ladder rung renders the reliable reference at 1 and
+     8 shards; the 10^6 rung does too behind DIPP_HEAVY=1. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 let seed = 1234
 
+(* BFS tree from node 0, roots marked -1 *)
+let tree_parent g = Array.mapi (fun v pv -> if pv = v then -1 else pv) (Traversal.spanning_tree g 0)
+
 let planar_instance n =
   let g = Gen.planar ~n 7 in
-  let parent =
-    Array.mapi (fun v pv -> if pv = v then -1 else pv) (Traversal.spanning_tree g 0)
-  in
-  (g, parent)
+  (g, tree_parent g)
 
 let render (r : Net.result) =
   Format.asprintf "%b [%a] [%a] %.17g %a" r.Net.accepted
@@ -123,31 +124,35 @@ let protocols () =
        ~verdict:r.Planarity.verdict);
   ]
 
+(* What a reliable network must give: the decision-only replay verdict,
+   every directed edge sent once per round and acknowledged once, nothing
+   lost. *)
+let reliable_reference proto =
+  let v = Net.replay_check proto ~frames:proto.Net.rounds in
+  let sent = 2 * Graph.m proto.Net.graph * Array.length proto.Net.rounds in
+  render
+    {
+      Net.accepted = v.Dip.accepted;
+      rejecting = v.Dip.rejecting;
+      crashed_nodes = [];
+      heard = 1.0;
+      stats =
+        {
+          Net.sent;
+          delivered = 2 * sent;
+          dropped = 0;
+          corrupted = 0;
+          duplicated = 0;
+          late = 0;
+          retransmits = 0;
+          acks = sent;
+        };
+    }
+
 let test_reliable_reference () =
   List.iter
     (fun proto ->
-      let v = Net.replay_check proto ~frames:proto.Net.rounds in
-      let sent = 2 * Graph.m proto.Net.graph * Array.length proto.Net.rounds in
-      let expected =
-        render
-          {
-            Net.accepted = v.Dip.accepted;
-            rejecting = v.Dip.rejecting;
-            crashed_nodes = [];
-            heard = 1.0;
-            stats =
-              {
-                Net.sent;
-                delivered = 2 * sent;
-                dropped = 0;
-                corrupted = 0;
-                duplicated = 0;
-                late = 0;
-                retransmits = 0;
-                acks = sent;
-              };
-          }
-      in
+      let expected = reliable_reference proto in
       List.iter
         (fun (shards, mode) ->
           Alcotest.(check string)
@@ -167,23 +172,33 @@ let test_reliable_reference () =
 
 (* ---- result invariance under faults ------------------------------------ *)
 
-(* chaos at 0.3 delays enough copies that two events on one link meet in
-   the same tick — the order the structural key pins; an insertion-order
-   key diverges across shard counts there *)
-let models =
-  [
-    Fault.reliable;
-    Fault.drop ~rate:0.2;
-    Fault.chaos ~rate:0.1;
-    Fault.chaos ~rate:0.3;
-    Fault.crash ~rate:0.05;
-  ]
+(* (instance, fault model) inputs.  Chaos at 0.3 delays enough copies that
+   two events on one link meet in the same tick — the order the
+   structural key pins; an insertion-order key diverges across shard
+   counts there.  The last input adds scale: a 1 000-node ladder grid
+   under chaos at 0.05. *)
+let invariance_inputs () =
+  let g, parent = planar_instance 60 in
+  let st = Net_protocols.st_verify ~reps:3 ~seed:5 g ~parent in
+  let grid = Gen.triangulated_grid ~n:1_000 1 in
+  List.map
+    (fun model -> ("st-verify n=60", st, model))
+    [
+      Fault.reliable;
+      Fault.drop ~rate:0.2;
+      Fault.chaos ~rate:0.1;
+      Fault.chaos ~rate:0.3;
+      Fault.crash ~rate:0.05;
+    ]
+  @ [
+      ( "pls grid n=1000",
+        Net_protocols.pls_spanning_tree ~graph:grid ~parent:(tree_parent grid),
+        Fault.chaos ~rate:0.05 );
+    ]
 
 let test_invariant_across_shards_jobs_seeds () =
-  let g, parent = planar_instance 60 in
-  let proto = Net_protocols.st_verify ~reps:3 ~seed:5 g ~parent in
   List.iteri
-    (fun mi model ->
+    (fun mi (name, proto, model) ->
       let run ~shards ~jobs ~partition_seed =
         render (Shard.execute ~shards ~jobs ~partition_seed ~rng:(Rng.create seed) ~model proto)
       in
@@ -191,15 +206,15 @@ let test_invariant_across_shards_jobs_seeds () =
       List.iter
         (fun (shards, jobs, partition_seed) ->
           Alcotest.(check string)
-            (Printf.sprintf "model %d: shards=%d jobs=%d pseed=%d == Net.execute" mi shards jobs
-               partition_seed)
+            (Printf.sprintf "%s, model %d: shards=%d jobs=%d pseed=%d == Net.execute" name mi
+               shards jobs partition_seed)
             base
             (run ~shards ~jobs ~partition_seed))
         [
           (1, 1, 0); (1, 2, 3); (2, 1, 0); (2, 2, 0); (4, 1, 0); (4, 2, 9); (8, 1, 0); (8, 2, 0);
           (8, 2, 77);
         ])
-    models
+    (invariance_inputs ())
 
 let test_stats_shape () =
   let g, parent = planar_instance 60 in
@@ -228,21 +243,29 @@ let test_shards_clamped_to_n () =
 
 (* ---- scale -------------------------------------------------------------- *)
 
+(* one ladder rung: both yes-families accept at 1 and 8 shards with
+   exactly the reliable reference's verdict and counters *)
 let ladder_smoke n =
   List.iter
     (fun (name, g) ->
-      let parent =
-        Array.mapi (fun v pv -> if pv = v then -1 else pv) (Traversal.spanning_tree g 0)
-      in
-      let proto = Net_protocols.pls_spanning_tree ~graph:g ~parent in
-      let r, st =
-        Shard.execute_ex ~shards:4 ~jobs:2 ~rng:(Rng.create 42) ~model:Fault.reliable proto
-      in
-      Alcotest.(check bool) (Printf.sprintf "%s n=%d accepts" name n) true r.Net.accepted;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s n=%d events scale with n" name n)
-        true
-        (st.Shard.events > 2 * n))
+      let proto = Net_protocols.pls_spanning_tree ~graph:g ~parent:(tree_parent g) in
+      let expected = reliable_reference proto in
+      List.iter
+        (fun shards ->
+          let r, st =
+            Shard.execute_ex ~shards ~jobs:2 ~rng:(Rng.create 42) ~model:Fault.reliable proto
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s n=%d at %d shard(s) accepts" name n shards)
+            true r.Net.accepted;
+          Alcotest.(check string)
+            (Printf.sprintf "%s n=%d at %d shard(s): reliable reference" name n shards)
+            expected (render r);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s n=%d at %d shard(s): events scale with n" name n shards)
+            true
+            (st.Shard.events > 2 * n))
+        [ 1; 8 ])
     [ ("triangulated-grid", Gen.triangulated_grid ~n 1);
       ("nested-triangulation", Gen.nested_triangulation ~n 1) ]
 
