@@ -142,9 +142,6 @@ let print_scaling row () =
         stats.Dip.proof_size_bits pls stats.Dip.interaction_rounds)
     row.sizes
 
-(* BFS tree from node 0, roots marked -1 *)
-let tree_parent g = Array.mapi (fun v pv -> if pv = v then -1 else pv) (Traversal.spanning_tree g 0)
-
 (* E6's named planarity instances, of growing maximum degree *)
 let grid n = Gen.planar_bounded_degree ~n 1
 let stacked n = Gen.planar ~n 1
@@ -471,7 +468,7 @@ let bounds () =
   List.iter record_row [ e7_row; e8_row ];
   let g = stacked 256 in
   record ~id:"pls_spanning_tree" ~n:(Graph.n g) ~delta:(Graph.max_degree g)
-    (Pls_spanning_tree.run g ~parent:(tree_parent g)).Pls_spanning_tree.stats;
+    (Pls_spanning_tree.run g ~parent:(Traversal.tree_parent g 0)).Pls_spanning_tree.stats;
   let out = out_path "DIPP_BOUNDS_OUT" "bounds_report.json" in
   Out_channel.with_open_bin out (fun oc -> output_string oc ("[" ^ Buffer.contents json ^ "\n]\n"));
   Printf.printf "\nwrote %s: %d rows, %d with violated claims\n" out !rows !violated
@@ -503,8 +500,9 @@ let faults () =
   let sw = Fault_sweep.default_sweep () in
   let points = Fault_sweep.run_sweep ~jobs:(jobs ()) ~seed sw in
   Fault_sweep.print_table points;
-  let path = Fault_sweep.write_report ~seed points in
-  Printf.printf "wrote %s: %d sweep points (seed=%d jobs=%d trials/point=%d)\n" path
+  let out = out_path "DIPP_FAULTS_OUT" "faults_report.json" in
+  Fault_sweep.write_report ~path:out ~seed points;
+  Printf.printf "wrote %s: %d sweep points (seed=%d jobs=%d trials/point=%d)\n" out
     (List.length points) seed (jobs ()) sw.Fault_sweep.trials;
   (* stdout only: the JSON stays byte-identical with the cache on or off *)
   print_endline (Label_cache.report ())

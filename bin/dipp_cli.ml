@@ -448,12 +448,9 @@ let net_run_cmd =
           exit 2
     in
     let g = read_graph file in
-    (* the spanning tree is rooted at node 0 *)
-    require_graph file ~min_n:1 ~connected:false g;
-    let parent =
-      let p = Traversal.spanning_tree g 0 in
-      Array.mapi (fun v pv -> if pv = v then -1 else pv) p
-    in
+    (* the spanning tree is rooted at node 0 and must reach every node *)
+    require_graph file ~min_n:1 ~connected:true g;
+    let parent = Traversal.tree_parent g 0 in
     let proto =
       match proto_kind with
       | `Pls -> Net_protocols.pls_spanning_tree ~graph:g ~parent

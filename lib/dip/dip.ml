@@ -153,6 +153,10 @@ let all_accept ~n decide =
   let accepted = match !rejecting with [] -> true | _ :: _ -> false in
   { accepted; rejecting = !rejecting }
 
+let heard_all labels =
+  let heard = Array.map Option.some labels in
+  fun u -> heard.(u)
+
 (* Round-by-round merge of two per-phase schedules: parallel repetitions
    run their rounds simultaneously, so the label sent in round i of the
    combination concatenates the round-i labels and its phase-max bits add.

@@ -83,6 +83,12 @@ type verdict = { accepted : bool; rejecting : int list }
 val all_accept : n:int -> (int -> bool) -> verdict
 (** Runs the per-node decision function and collects rejections. *)
 
+val heard_all : 'a array -> int -> 'a option
+(** The neighbor lookup of a synchronous run, where every label is heard:
+    [heard_all labels] answers [Some labels.(u)] for every [u] and
+    allocates nothing per call.  Build it once per run.  The network
+    adapters pass a lookup that answers [None] for an unheard neighbor. *)
+
 val pp_stats : Format.formatter -> stats -> unit
 
 val pp_per_phase : Format.formatter -> stats -> unit

@@ -29,10 +29,15 @@
     for claims that are wrong in the same way each time; the protocol is
     run with reps = Theta(log log n) by the callers. *)
 
-type coins = { xs : int array array; tags : Bits.t option array array }
-(** [xs.(rep).(v)]; [tags.(rep).(v)] is Some for claimed roots. *)
+type coins = { xs : int array array; tags : Bits.t option array array; tag_bits : int }
+(** [xs.(rep).(v)]; [tags.(rep).(v)] is Some for claimed roots;
+    [tag_bits] is the public tag width. *)
 
-type response = { sums : int array array; taus : Bits.t array array }
+type label = { sums : int array; taus : Bits.t array }
+(** One node's round-3 label: per repetition a sum and a tau. *)
+
+type response = label array
+(** Every node's label, indexed by node. *)
 
 val q : int
 (** Field size for the sum check (16 => 4 bits). *)
@@ -45,22 +50,31 @@ val draw_coins : reps:int -> tag_bits:int -> parent:int array -> Rng.t -> coins
 val honest_response : reps:int -> parent:int array -> coins -> response
 (** The honest prover's round-3 labels, computed from the true tree. *)
 
-val coins_to_bits : tag_bits:int -> coins -> Bits.t array
-val response_to_bits : tag_bits:int -> response -> Bits.t array
-(** Serializations for metering. *)
+val coins_to_bits : coins -> Bits.t array
+val response_to_bits : response -> Bits.t array
+(** Serializations for metering and for the network adapter. *)
+
+val label_of_bits : coins -> Bits.t -> label option
+(** The inverse of {!response_to_bits} on one node's label, with the
+    repetition count and tag width taken from the public [coins]; [None]
+    when the bits do not parse. *)
 
 val verify_node :
-  reps:int ->
   parent:int array ->
   children:int list array ->
   graph:Graph.t ->
   coins:coins ->
-  response:response ->
+  own:label ->
+  heard:(int -> label option) ->
   int ->
   bool
-(** The local decision at one node: it reads only its own coins, its own and
-    its neighbors' response entries, and the (already locally-decoded)
-    parent/children pointers. *)
+(** The local decision at one node [v], the one check both the
+    synchronous runs and the network adapter make.  It reads [v]'s own
+    coins and label, its (locally decoded) parent and children pointers,
+    and the labels [heard] returns for its parent, children and
+    G-neighbors, where [None] means "not heard".  A parent outside N(v)
+    rejects; the subtree-sum check (a) runs only when every child was
+    heard; an unheard parent or neighbor is skipped. *)
 
 val run :
   ?seed:int ->

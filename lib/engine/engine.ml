@@ -88,15 +88,7 @@ let report_string ~seed results =
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
-let write_report ?path ~seed results =
-  let path =
-    match path with
-    | Some p -> p
-    | None -> (
-        match Sys.getenv_opt "DIPP_TRIALS_OUT" with
-        | Some p -> p
-        | None -> "trials_report.json")
-  in
+let write_report ~path ~seed results =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)

@@ -41,6 +41,5 @@ val report_string : seed:int -> result list -> string
 (** The [trials_report.json] payload: a pure function of [seed] and the
     results. *)
 
-val write_report : ?path:string -> seed:int -> result list -> unit
-(** Writes {!report_string} to [path] (default ["trials_report.json"],
-    overridable with the [DIPP_TRIALS_OUT] environment variable). *)
+val write_report : path:string -> seed:int -> result list -> unit
+(** Writes {!report_string} to [path]. *)

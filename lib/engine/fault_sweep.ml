@@ -9,10 +9,6 @@ let draw_seed rng = Rng.int rng seed_bound
 
 type family = { fam_id : string; build : Rng.t -> Net.protocol }
 
-let tree_parent g =
-  let p = Traversal.spanning_tree g 0 in
-  Array.mapi (fun v pv -> if pv = v then -1 else pv) p
-
 let draw_list rng k bound =
   let rec go i acc = if i = k then List.rev acc else go (i + 1) (Rng.int rng bound :: acc) in
   go 0 []
@@ -25,7 +21,7 @@ let pls_family ~n =
     build =
       (fun rng ->
         let g = Gen.planar ~n (draw_seed rng) in
-        Net_protocols.pls_spanning_tree ~graph:g ~parent:(tree_parent g));
+        Net_protocols.pls_spanning_tree ~graph:g ~parent:(Traversal.tree_parent g 0));
   }
 
 let st_family ~n ~reps =
@@ -34,7 +30,7 @@ let st_family ~n ~reps =
     build =
       (fun rng ->
         let g = Gen.planar ~n (draw_seed rng) in
-        Net_protocols.st_verify ~reps ~seed:(draw_seed rng) g ~parent:(tree_parent g));
+        Net_protocols.st_verify ~reps ~seed:(draw_seed rng) g ~parent:(Traversal.tree_parent g 0));
   }
 
 let mseq_family ~n =
@@ -43,7 +39,7 @@ let mseq_family ~n =
     build =
       (fun rng ->
         let g = Gen.planar ~n (draw_seed rng) in
-        let parent = tree_parent g in
+        let parent = Traversal.tree_parent g 0 in
         let tree_edges = ref [] in
         Array.iteri (fun v p -> if p >= 0 then tree_edges := (v, p) :: !tree_edges) parent;
         let tree = Graph.create ~n !tree_edges in
@@ -256,20 +252,11 @@ let report_string ~seed points =
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
 
-let write_report ?path ~seed points =
-  let path =
-    match path with
-    | Some p -> p
-    | None -> (
-        match Sys.getenv_opt "DIPP_FAULTS_OUT" with
-        | Some p -> p
-        | None -> "faults_report.json")
-  in
+let write_report ~path ~seed points =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (report_string ~seed points));
-  path
+    (fun () -> output_string oc (report_string ~seed points))
 
 let print_table points =
   Printf.printf "%-26s %-10s %6s %-8s %7s %9s %8s %7s %6s %7s\n" "family" "fault" "rate" "mode"

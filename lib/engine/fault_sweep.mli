@@ -98,8 +98,7 @@ val run_sweep : ?jobs:int -> seed:int -> sweep -> point list
 val report_string : seed:int -> point list -> string
 (** Deterministic JSON, with Wilson 95% intervals on the acceptance rate. *)
 
-val write_report : ?path:string -> seed:int -> point list -> string
-(** Writes {!report_string} to [path] (default: [DIPP_FAULTS_OUT] or
-    [faults_report.json]); returns the path written. *)
+val write_report : path:string -> seed:int -> point list -> unit
+(** Writes {!report_string} to [path]. *)
 
 val print_table : point list -> unit

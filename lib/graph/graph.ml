@@ -81,17 +81,19 @@ let max_degree t =
   Array.iter (fun a -> d := max !d (Array.length a)) t.adj;
   !d
 
-let mem_edge t u v =
-  if u < 0 || v < 0 || u >= t.n || v >= t.n || u = v then false
+let neighbor_slot t u v =
+  if u < 0 || v < 0 || u >= t.n || v >= t.n || u = v then -1
   else
     let a = t.adj.(u) in
     let rec search lo hi =
-      if lo >= hi then false
+      if lo >= hi then -1
       else
         let mid = (lo + hi) / 2 in
-        if a.(mid) = v then true else if a.(mid) < v then search (mid + 1) hi else search lo mid
+        if a.(mid) = v then mid else if a.(mid) < v then search (mid + 1) hi else search lo mid
     in
     search 0 (Array.length a)
+
+let mem_edge t u v = neighbor_slot t u v >= 0
 
 let fold_edges f t acc =
   let acc = ref acc in

@@ -35,6 +35,10 @@ val degree : t -> int -> int
 val max_degree : t -> int
 val mem_edge : t -> int -> int -> bool
 
+val neighbor_slot : t -> int -> int -> int
+(** [neighbor_slot t u v] is the index of [v] in [neighbors t u], or [-1]
+    when [uv] is not an edge; a binary search. *)
+
 val edges : t -> edge list
 (** All edges, normalized, in lexicographic order. *)
 

@@ -61,6 +61,13 @@ let spanning_tree g root =
   done;
   parent
 
+let tree_parent g root = Array.mapi (fun v p -> if p = v then -1 else p) (spanning_tree g root)
+
+let children_of_parent parent =
+  let children = Array.make (Array.length parent) [] in
+  Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) parent;
+  children
+
 let dfs_order g root =
   let n = Graph.n g in
   let seen = Array.make n false in

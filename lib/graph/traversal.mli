@@ -14,6 +14,15 @@ val spanning_tree : Graph.t -> int -> int array
 (** [spanning_tree g root] is a BFS-tree parent array; [parent.(root) =
     root]; unreachable nodes get [-1]. *)
 
+val tree_parent : Graph.t -> int -> int array
+(** {!spanning_tree} with the root marked [-1], as the protocols take
+    parent arrays; a node unreachable from [root] is [-1] as well. *)
+
+val children_of_parent : int array -> int list array
+(** [children_of_parent parent] lists, per node, the nodes whose entry in
+    [parent] names it, in descending id order; negative entries (roots)
+    are nobody's children. *)
+
 val dfs_order : Graph.t -> int -> int list
 (** Preorder of the DFS from the given root, visiting neighbors in
     ascending id order; only reachable nodes appear. *)

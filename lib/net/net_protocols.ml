@@ -1,195 +1,49 @@
-let width_for n =
-  let rec go w = if 1 lsl w >= max 2 n then w else go (w + 1) in
-  go 1
-
 let zeros len = if len = 0 then Bits.empty else Bits.of_string (String.make len '0')
 
-let children_of_parent parent =
-  let n = Array.length parent in
-  let children = Array.make n [] in
-  Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) parent;
-  children
-
-(* ---- PLS spanning tree (one prover round; Theorem 1.8 baseline) ------- *)
+(* A semantic adapter ships each node's own label as its one round.  Its
+   node_check decodes every heard neighbor frame once ([Some None]: heard
+   but does not parse, which rejects) and hands the sub-protocol's own
+   [verify_node] a lookup that answers [None] for an unheard neighbor. *)
+let semantic ~name graph labels ~decode verify_node =
+  let node_check v recv =
+    let heard =
+      Array.map
+        (fun u -> Option.map (fun (frames : Bits.t array) -> decode frames.(0)) (recv u))
+        (Graph.neighbors graph v)
+    in
+    Array.for_all (function Some None -> false | Some (Some _) | None -> true) heard
+    && verify_node v (fun u ->
+           match Graph.neighbor_slot graph v u with -1 -> None | i -> Option.join heard.(i))
+  in
+  { Net.name; graph; rounds = [| labels |]; checksum = false; node_check }
 
 let pls_spanning_tree ~graph ~parent =
-  let n = Graph.n graph in
-  let width = width_for n in
-  let dist = Array.make n (-1) in
-  let rec depth v =
-    if dist.(v) >= 0 then dist.(v)
-    else begin
-      let r = if parent.(v) < 0 then 0 else 1 + depth parent.(v) in
-      dist.(v) <- r;
-      r
-    end
-  in
-  for v = 0 to n - 1 do
-    ignore (depth v)
-  done;
-  let rounds = [| Array.init n (fun v -> Bits.of_int ~width dist.(v)) |] in
-  let node_check v recv =
-    if parent.(v) < 0 then dist.(v) = 0
-    else
-      Graph.mem_edge graph v parent.(v)
-      && dist.(v) >= 1
-      &&
-      match recv parent.(v) with
-      | None -> true (* degraded: the parent label never arrived; skip *)
-      | Some frames -> Bits.to_int frames.(0) = dist.(v) - 1
-  in
-  { Net.name = "pls-spanning-tree"; graph; rounds; checksum = false; node_check }
+  let dist = Dipp_baselines.Pls_spanning_tree.depths graph ~parent in
+  semantic ~name:"pls-spanning-tree" graph
+    (Dipp_baselines.Pls_spanning_tree.depths_to_bits graph dist)
+    ~decode:(Dipp_baselines.Pls_spanning_tree.depth_of_bits graph)
+    (fun v heard ->
+      Dipp_baselines.Pls_spanning_tree.verify_node graph ~parent ~depth:dist.(v) ~heard v)
 
-(* ---- spanning-tree verification (Lemma 2.5, NPY reconstruction) ------- *)
-
-(* The exchanged label is the round-3 response: per repetition, a q-width
-   sum and a tag_bits tau.  The receiver decodes its neighbors' frames
-   bit-by-bit and replays the local checks of
-   [Spanning_tree_verify.verify_node] on the decoded values. *)
 let st_verify ?(reps = 4) ?(tag_bits = 4) ~seed graph ~parent =
-  let rng = Rng.create seed in
-  let coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits ~parent rng in
+  let coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits ~parent (Rng.create seed) in
   let resp = Spanning_tree_verify.honest_response ~reps ~parent coins in
-  let rounds = [| Spanning_tree_verify.response_to_bits ~tag_bits resp |] in
-  let children = children_of_parent parent in
-  let decode b =
-    let r = Bits.Reader.of_bits b in
-    let rec go rep acc =
-      if rep = reps then Some (Array.of_list (List.rev acc))
-      else
-        let s = Bits.Reader.int r ~width:Spanning_tree_verify.q_bits in
-        let tau = Bits.Reader.bits r ~len:tag_bits in
-        go (rep + 1) ((s, tau) :: acc)
-    in
-    match go 0 [] with decoded -> decoded | exception Bits.Reader.Underflow -> None
-  in
-  let node_check v recv =
-    let seen = Hashtbl.create 8 in
-    Array.iter
-      (fun u ->
-        match recv u with
-        | None -> ()
-        | Some frames -> Hashtbl.replace seen u (decode frames.(0)))
-      (Graph.neighbors graph v);
-    let decoded u =
-      match Hashtbl.find_opt seen u with Some d -> d | None -> None
-    in
-    let heard u = Hashtbl.mem seen u in
-    let ok = ref true in
-    (* a frame that arrived but does not parse is a hard rejection *)
-    Hashtbl.iter (fun _ d -> match d with None -> ok := false | Some _ -> ()) seen;
-    for rep = 0 to reps - 1 do
-      (* (a) subtree-sum equation — verifiable only with every child heard *)
-      (if List.for_all heard children.(v) then
-         let expect =
-           List.fold_left
-             (fun acc c ->
-               match decoded c with
-               | Some d ->
-                   let s, _ = d.(rep) in
-                   (acc + s) mod Spanning_tree_verify.q
-               | None -> acc)
-             coins.Spanning_tree_verify.xs.(rep).(v)
-             children.(v)
-         in
-         if resp.Spanning_tree_verify.sums.(rep).(v) <> expect then ok := false);
-      (* (b) tau agrees with the parent (roots check their own tag) *)
-      let tau = resp.Spanning_tree_verify.taus.(rep).(v) in
-      (if parent.(v) < 0 then
-         match coins.Spanning_tree_verify.tags.(rep).(v) with
-         | Some t -> if not (Bits.equal tau t) then ok := false
-         | None -> ok := false
-       else
-         match decoded parent.(v) with
-         | Some d ->
-             let _, ptau = d.(rep) in
-             if not (Bits.equal tau ptau) then ok := false
-         | None -> () (* degraded: parent unheard *));
-      (* (c) tau agrees across every heard G-edge *)
-      Array.iter
-        (fun u ->
-          match decoded u with
-          | Some d ->
-              let _, utau = d.(rep) in
-              if not (Bits.equal tau utau) then ok := false
-          | None -> ())
-        (Graph.neighbors graph v)
-    done;
-    !ok
-  in
-  { Net.name = "st-verify"; graph; rounds; checksum = false; node_check }
-
-(* ---- multiset equality (Lemma 2.6, two rounds) ------------------------ *)
+  let children = Traversal.children_of_parent parent in
+  semantic ~name:"st-verify" graph (Spanning_tree_verify.response_to_bits resp)
+    ~decode:(Spanning_tree_verify.label_of_bits coins)
+    (fun v heard ->
+      Spanning_tree_verify.verify_node ~parent ~children ~graph ~coins ~own:resp.(v) ~heard v)
 
 let multiset_eq ~seed (inst : Multiset_equality.instance) =
-  let rng = Rng.create seed in
-  let z = Multiset_equality.sample_z inst rng in
-  let l = Multiset_equality.honest_labels inst ~z in
-  let rounds = [| Multiset_equality.labels_to_bits inst l |] in
-  let f = Multiset_equality.field inst in
-  let w = Fp.bit_width f in
-  let children = children_of_parent inst.Multiset_equality.parent in
-  let decode b =
-    match
-      let r = Bits.Reader.of_bits b in
-      let zr = Bits.Reader.int r ~width:w in
-      let e1 = Bits.Reader.int r ~width:w in
-      let e2 = Bits.Reader.int r ~width:w in
-      (zr, e1, e2)
-    with
-    | decoded -> Some decoded
-    | exception Bits.Reader.Underflow -> None
-  in
-  let tree = inst.Multiset_equality.tree in
-  let node_check v recv =
-    let parent = inst.Multiset_equality.parent in
-    let seen = Hashtbl.create 8 in
-    Array.iter
-      (fun u ->
-        match recv u with
-        | None -> ()
-        | Some frames -> Hashtbl.replace seen u (decode frames.(0)))
-      (Graph.neighbors tree v);
-    let decoded u =
-      match Hashtbl.find_opt seen u with Some d -> d | None -> None
-    in
-    let heard u = Hashtbl.mem seen u in
-    let ok = ref true in
-    Hashtbl.iter (fun _ d -> match d with None -> ok := false | Some _ -> ()) seen;
-    (* aggregation equations, verifiable only with every child heard *)
-    (if List.for_all heard children.(v) then begin
-       let expect pick own =
-         List.fold_left
-           (fun acc c ->
-             match decoded c with
-             | Some d -> Fp.mul f acc (pick d)
-             | None -> acc)
-           own children.(v)
-       in
-       let own1 = Poly.eval f inst.Multiset_equality.s1.(v) l.Multiset_equality.z in
-       let own2 = Poly.eval f inst.Multiset_equality.s2.(v) l.Multiset_equality.z in
-       if l.Multiset_equality.e1.(v) <> expect (fun (_, e1, _) -> e1) own1 then ok := false;
-       if l.Multiset_equality.e2.(v) <> expect (fun (_, _, e2) -> e2) own2 then ok := false
-     end);
-    (* z echo: the parent's broadcast z must match the local copy *)
-    (if parent.(v) >= 0 then
-       match decoded parent.(v) with
-       | Some (zr, _, _) -> if zr <> l.Multiset_equality.z then ok := false
-       | None -> ());
-    (* root: z is the sampled coin and the two full evaluations agree *)
-    (if parent.(v) < 0 then begin
-       if l.Multiset_equality.z <> z then ok := false;
-       if l.Multiset_equality.e1.(v) <> l.Multiset_equality.e2.(v) then ok := false
-     end);
-    !ok
-  in
-  {
-    Net.name = "multiset-eq";
-    graph = inst.Multiset_equality.tree;
-    rounds;
-    checksum = false;
-    node_check;
-  }
+  let field = Multiset_equality.field inst in
+  let z = Multiset_equality.sample_z inst (Rng.create seed) in
+  let labels = Multiset_equality.honest_labels inst ~z in
+  let children = Traversal.children_of_parent inst.Multiset_equality.parent in
+  semantic ~name:"multiset-eq" inst.Multiset_equality.tree
+    (Multiset_equality.labels_to_bits inst labels)
+    ~decode:(Multiset_equality.label_of_bits ~field)
+    (fun v heard ->
+      Multiset_equality.verify_node inst ~field ~children ~z_sampled:z ~own:labels.(v) ~heard v)
 
 (* ---- checksummed transport wrapper (any E2-E8 protocol) --------------- *)
 

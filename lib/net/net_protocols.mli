@@ -3,13 +3,16 @@
     Two depths of fidelity:
 
     - {e Semantic} adapters ({!pls_spanning_tree}, {!st_verify},
-      {!multiset_eq}) re-implement the per-node decision at the bit level:
-      each node serializes its own labels, ships them over the faulty
-      links, and the receiver decodes its neighbors' frames and replays the
-      protocol's local checks on the decoded values.  A flipped bit reaches
-      the verifier (checksum off) and flips the decision exactly when the
-      corrupted field participates in a check — this measures the
-      robustness of the {e proof itself} to corruption.
+      {!multiset_eq}) ship each node's real serialized label, built by
+      the sub-protocol's own encoder.  A node's [node_check] decodes each
+      heard neighbor frame once with the sub-protocol's decoder and calls
+      the sub-protocol's own [verify_node], the check its synchronous run
+      makes, with a lookup that answers [None] for an unheard neighbor.
+      A heard frame that does not parse rejects.  A flipped bit reaches
+      the check (checksum off) and flips the decision exactly when the
+      corrupted field takes part in it — this measures the robustness of
+      the {e proof itself} to corruption.  Under {!Fault.reliable} every
+      neighbor is heard and the verdict equals the synchronous run's.
 
     - The {e transport} wrapper ({!transport}) runs any synchronous
       protocol result over a checksummed transport: corrupted frames are
@@ -20,21 +23,19 @@
 
 val pls_spanning_tree : graph:Graph.t -> parent:int array -> Net.protocol
 (** The one-round distance-labeling PLS ({!Dipp_baselines.Pls_spanning_tree}):
-    node labels are tree depths; each node checks its parent's decoded
-    depth is its own minus one. *)
+    node labels are tree depths, checked by
+    [Pls_spanning_tree.verify_node]. *)
 
 val st_verify :
   ?reps:int -> ?tag_bits:int -> seed:int -> Graph.t -> parent:int array -> Net.protocol
 (** Lemma 2.5 spanning-tree verification: the exchanged label is the
-    round-3 response (per repetition a sum and a tau); receivers replay the
-    subtree-sum, parent-tau and cross-edge-tau checks on decoded frames.
-    Checks that need an unheard child/parent are skipped (degradation);
-    a frame that fails to parse rejects outright. *)
+    round-3 response (per repetition a sum and a tau), checked by
+    {!Spanning_tree_verify.verify_node} with the coins drawn from [seed]. *)
 
 val multiset_eq : seed:int -> Multiset_equality.instance -> Net.protocol
 (** Lemma 2.6 multiset equality over a rooted tree: labels carry
-    [(z, e1, e2)]; receivers replay the aggregation products, the z echo
-    against the parent and the root's equality check on decoded values. *)
+    [(z, e1, e2)], checked by {!Multiset_equality.verify_node}; the
+    communication graph is the instance's [tree]. *)
 
 val transport :
   name:string -> graph:Graph.t -> stats:Dip.stats -> verdict:Dip.verdict -> Net.protocol

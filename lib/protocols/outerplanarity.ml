@@ -164,7 +164,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
     Array.init n (fun v ->
         if cut_bit.(v) || leader.(v) then Some (Bits.random (Rng.split rng (500 + v)) nb) else None)
   in
-  let st_coin_bits = Spanning_tree_verify.coins_to_bits ~tag_bits:4 st_coins in
+  let st_coin_bits = Spanning_tree_verify.coins_to_bits st_coins in
   Dip.record_verifier meter
     (Array.init n (fun v ->
          Bits.concat [ st_coin_bits.(v); (match samples.(v) with Some s -> s | None -> Bits.empty) ]));
@@ -192,7 +192,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
     comp_paths;
   let sep_of v = if blk_of.(v) >= 0 then sep_tag blk_of.(v) else Bits.empty in
   let lead_of v = if blk_of.(v) >= 0 then lead_tag.(blk_of.(v)) else Bits.empty in
-  let st_resp_bits = Spanning_tree_verify.response_to_bits ~tag_bits:4 st_resp in
+  let st_resp_bits = Spanning_tree_verify.response_to_bits st_resp in
   let r3_node v =
     Bits_flat.Enc.reset lenc;
     Bits_flat.Enc.bits lenc st_resp_bits.(v);
@@ -234,15 +234,15 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   in
 
   (* -------- verification of the decomposition stage -------------------- *)
-  let children = Array.make n [] in
-  Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) parent;
+  let children = Traversal.children_of_parent parent in
+  let st_heard = Dip.heard_all st_resp in
   let verify v =
     let ok = ref true in
     let fail () = ok := false in
     if
       not
-        (Spanning_tree_verify.verify_node ~reps ~parent ~children ~graph:g ~coins:st_coins
-           ~response:st_resp v)
+        (Spanning_tree_verify.verify_node ~parent ~children ~graph:g ~coins:st_coins
+           ~own:st_resp.(v) ~heard:st_heard v)
     then fail ();
     (* sep/lead sampled bits are echoed correctly *)
     (match samples.(v) with

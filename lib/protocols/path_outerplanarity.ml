@@ -131,10 +131,9 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
   (* -------- Round 1 (prover) ---------------------------------------- *)
   let enc = Forest_encoding.encode g ~parent:claimed_parent in
   let cbits = Forest_encoding.color_bits enc in
+  let children = Traversal.children_of_parent claimed_parent in
   (* claimed path order, if the committed structure is one *)
   let claimed_path =
-    let children = Array.make n [] in
-    Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) claimed_parent;
     let roots = List.filter (fun v -> claimed_parent.(v) < 0) (List.init n Fun.id) in
     match roots with
     | [ r ] ->
@@ -252,7 +251,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
   let reps = max 2 (nb / 2) in
   let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent:claimed_parent (Rng.split rng 1) in
   let names = Array.init n (fun v -> Bits.random (Rng.split rng (100 + v)) nb) in
-  let st_coin_bits = Spanning_tree_verify.coins_to_bits ~tag_bits:4 st_coins in
+  let st_coin_bits = Spanning_tree_verify.coins_to_bits st_coins in
   Dip.record_verifier meter
     (Array.init n (fun v -> Bits.concat [ st_coin_bits.(v); names.(v) ]));
 
@@ -305,7 +304,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
     | None -> Bits.of_string (String.make r3_edge_width '0')
   in
   let r3_edges = Edge_labels.assign el ~width:r3_edge_width r3_edge_bits in
-  let st_resp_bits = Spanning_tree_verify.response_to_bits ~tag_bits:4 st_resp in
+  let st_resp_bits = Spanning_tree_verify.response_to_bits st_resp in
   let r3_node v =
     Bits_flat.Enc.reset lenc;
     Bits_flat.Enc.bits lenc st_resp_bits.(v);
@@ -327,8 +326,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
   in
 
   (* -------- Verification --------------------------------------------- *)
-  let children = Array.make n [] in
-  Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) claimed_parent;
+  let st_heard = Dip.heard_all st_resp in
   let pair_eq a b =
     match (a, b) with
     | None, None -> true
@@ -347,8 +345,8 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
     (* spanning-tree verification *)
     if
       not
-        (Spanning_tree_verify.verify_node ~reps ~parent:claimed_parent ~children ~graph:g
-           ~coins:st_coins ~response:st_resp v)
+        (Spanning_tree_verify.verify_node ~parent:claimed_parent ~children ~graph:g
+           ~coins:st_coins ~own:st_resp.(v) ~heard:st_heard v)
     then fail ();
     (* incident non-path edges, classified by claimed orientation *)
     let incident =

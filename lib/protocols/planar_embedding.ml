@@ -108,8 +108,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   let pa = Lr_sorting.Params.make ~c (max 2 ((2 * n) - 1)) in
   let nb = Fp.bit_width pa.Lr_sorting.Params.p in
   let root = 0 in
-  let parent = Traversal.spanning_tree g root in
-  let parent = Array.mapi (fun v p -> if p = v then -1 else p) parent in
+  let parent = Traversal.tree_parent g root in
   (* Round 1: commit T (Lemma 2.3). *)
   let enc = Forest_encoding.encode g ~parent in
   let cbits = Forest_encoding.color_bits enc in
@@ -119,17 +118,17 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   (* Rounds 2-3: certify T (Lemma 2.5). *)
   let reps = max 2 (nb / 2) in
   let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent (Rng.split rng 3) in
-  Dip.record_verifier meter (Spanning_tree_verify.coins_to_bits ~tag_bits:4 st_coins);
+  Dip.record_verifier meter (Spanning_tree_verify.coins_to_bits st_coins);
   let st_resp = Spanning_tree_verify.honest_response ~reps ~parent st_coins in
-  let st_resp_bits = Spanning_tree_verify.response_to_bits ~tag_bits:4 st_resp in
+  let st_resp_bits = Spanning_tree_verify.response_to_bits st_resp in
   (* dipp-refine: width <= 20*loglog + 20 *)
   Dip.record_prover meter st_resp_bits;
-  let children = Array.make n [] in
-  Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) parent;
+  let children = Traversal.children_of_parent parent in
+  let st_heard = Dip.heard_all st_resp in
   let st_verdict =
     Dip.all_accept ~n (fun v ->
-        Spanning_tree_verify.verify_node ~reps ~parent ~children ~graph:g ~coins:st_coins
-          ~response:st_resp v)
+        Spanning_tree_verify.verify_node ~parent ~children ~graph:g ~coins:st_coins
+          ~own:st_resp.(v) ~heard:st_heard v)
   in
   (* The reduction and the inner path-outerplanarity run (rounds 1-5,
      simulated by the original nodes; each holds O(1) copies' labels). *)

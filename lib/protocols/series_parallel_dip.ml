@@ -148,7 +148,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
   List.iter
     (function
       | Some (_, back, _, _, coins) ->
-          let bits = Spanning_tree_verify.coins_to_bits ~tag_bits:4 coins in
+          let bits = Spanning_tree_verify.coins_to_bits coins in
           Array.iteri (fun i orig -> coin_bits.(orig) <- bits.(i)) back
       | None -> ())
     st_runs;
@@ -177,7 +177,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
   List.iter
     (function
       | Some (_, back, _, _, _, resp) ->
-          let bits = Spanning_tree_verify.response_to_bits ~tag_bits:4 resp in
+          let bits = Spanning_tree_verify.response_to_bits resp in
           Array.iteri (fun i orig -> resp_bits.(orig) <- bits.(i)) back
       | None -> ())
     st_resps;
@@ -250,8 +250,16 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
   in
 
   (* -------- verification ------------------------------------------------ *)
-  let children = Array.make n [] in
-  Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) parent;
+  let children = Traversal.children_of_parent parent in
+  (* per sub-ear ST check inputs, built once *)
+  let st_checks =
+    Array.of_list
+      (List.map
+         (Option.map (fun (subg, _, inv, sparent, coins, resp) ->
+              let schildren = Traversal.children_of_parent sparent in
+              (subg, inv, sparent, schildren, coins, resp, Dip.heard_all resp)))
+         st_resps)
+  in
   (* membership set of u: own ear tag + ear tags across incident connecting
      edges where u is the ear-endpoint side *)
   let membership u =
@@ -273,16 +281,14 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
     if owner.(v) = -1 then fail ();
     if List.length children.(v) > 1 then fail ();
     (* ST verification within the node's sub-ear *)
-    (match if owner.(v) >= 0 then List.nth st_resps owner.(v) else None with
-    | Some (subg, _, inv, sparent, coins, resp) ->
+    (match if owner.(v) >= 0 then st_checks.(owner.(v)) else None with
+    | Some (subg, inv, sparent, schildren, coins, resp, heard) ->
         let sv = inv.(v) in
         if sv >= 0 then begin
-          let schildren = Array.make (Graph.n subg) [] in
-          Array.iteri (fun x p -> if p >= 0 then schildren.(p) <- x :: schildren.(p)) sparent;
           if
             not
-              (Spanning_tree_verify.verify_node ~reps ~parent:sparent ~children:schildren
-                 ~graph:subg ~coins ~response:resp sv)
+              (Spanning_tree_verify.verify_node ~parent:sparent ~children:schildren ~graph:subg
+                 ~coins ~own:resp.(sv) ~heard sv)
           then fail ()
         end
         else fail ()

@@ -68,7 +68,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   let samples =
     Array.init n (fun v -> if cut_bit.(v) then Some (Bits.random (Rng.split rng (900 + v)) nb) else None)
   in
-  let st_coin_bits = Spanning_tree_verify.coins_to_bits ~tag_bits:4 st_coins in
+  let st_coin_bits = Spanning_tree_verify.coins_to_bits st_coins in
   Dip.record_verifier meter
     (Array.init n (fun v ->
          Bits.concat [ st_coin_bits.(v); (match samples.(v) with Some s -> s | None -> Bits.empty) ]));
@@ -82,7 +82,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
     if s < 0 then root_tag else Option.value ~default:Bits.empty samples.(s)
   in
   let tag_of v = if blk_of.(v) >= 0 then comp_tag blk_of.(v) else Bits.empty in
-  let st_resp_bits = Spanning_tree_verify.response_to_bits ~tag_bits:4 st_resp in
+  let st_resp_bits = Spanning_tree_verify.response_to_bits st_resp in
   let r3_node v =
     Bits_flat.Enc.reset lenc;
     Bits_flat.Enc.bits lenc st_resp_bits.(v);
@@ -133,15 +133,15 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   in
 
   (* gluing verification *)
-  let children = Array.make n [] in
-  Array.iteri (fun v p -> if p >= 0 then children.(p) <- v :: children.(p)) parent;
+  let children = Traversal.children_of_parent parent in
+  let st_heard = Dip.heard_all st_resp in
   let verify v =
     let ok = ref true in
     let fail () = ok := false in
     if
       not
-        (Spanning_tree_verify.verify_node ~reps ~parent ~children ~graph:g ~coins:st_coins
-           ~response:st_resp v)
+        (Spanning_tree_verify.verify_node ~parent ~children ~graph:g ~coins:st_coins
+           ~own:st_resp.(v) ~heard:st_heard v)
     then fail ();
     (match samples.(v) with
     | Some s ->

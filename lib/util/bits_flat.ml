@@ -138,6 +138,12 @@ module Dec = struct
         d.pos <- d.pos + width;
         !v
     | Reader r -> Bits.Reader.int r ~width
+
+  let parse codec b f =
+    let d = of_bits codec b in
+    match f d with
+    | v -> if remaining d = 0 then Some v else None
+    | exception Bits.Reader.Underflow -> None
 end
 
 let read_int b ~pos ~width =

@@ -57,6 +57,11 @@ module Dec : sig
   val remaining : t -> int
   (** All reads raise {!Bits.Reader.Underflow} past the end under both
       backends; verifiers treat that as a malformed label. *)
+
+  val parse : codec -> Bits.t -> (t -> 'a) -> 'a option
+  (** [parse codec b f] runs the decoder [f] over the whole of [b]:
+      [None] if a read underflows or bits are left over, so a label
+      decoder built on it is a strict inverse of its encoder. *)
 end
 
 val read_int : Bits.t -> pos:int -> width:int -> int

@@ -61,7 +61,7 @@ let prop_pls_po_agrees_with_checker =
 
 let test_pls_st () =
   let g = Graph.grid 6 6 in
-  let parent = Array.mapi (fun v p -> if p = v then -1 else p) (Traversal.spanning_tree g 0) in
+  let parent = Traversal.tree_parent g 0 in
   let r = Pls_spanning_tree.run g ~parent in
   Alcotest.(check bool) "accepts" true r.Pls_spanning_tree.verdict.Dip.accepted;
   Alcotest.(check int) "1 round" 1 r.Pls_spanning_tree.stats.Dip.interaction_rounds;

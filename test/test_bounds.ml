@@ -148,8 +148,7 @@ let test_protocols_within_budget () =
     ~delta:(Graph.max_degree g) tw.Treewidth2_dip.stats;
 
   let g = Gen.planar ~n:256 1 in
-  let parent = Traversal.spanning_tree g 0 in
-  let parent = Array.mapi (fun v pv -> if pv = v then -1 else pv) parent in
+  let parent = Traversal.tree_parent g 0 in
   let st = Pls_spanning_tree.run g ~parent in
   check_within "PLS spanning tree" ~id:"pls_spanning_tree" ~n:(Graph.n g)
     ~delta:(Graph.max_degree g) st.Pls_spanning_tree.stats

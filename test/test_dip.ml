@@ -157,12 +157,9 @@ let test_all_accept () =
 
 (* ---- Forest encoding (Lemma 2.3) --------------------------------------- *)
 
-let bfs_parents g root =
-  Array.mapi (fun v p -> if p = v then -1 else p) (Traversal.spanning_tree g root)
-
 let test_forest_encoding_path () =
   let g = Graph.path_graph 10 in
-  let parent = bfs_parents g 0 in
+  let parent = Traversal.tree_parent g 0 in
   let enc = Forest_encoding.encode g ~parent in
   match Forest_encoding.decode_forest g enc with
   | Some p -> Alcotest.(check (array int)) "decoded" parent p
@@ -173,7 +170,7 @@ let prop_forest_encoding_roundtrip =
     QCheck.(pair (int_bound 10000) (int_range 5 80))
     (fun (seed, n) ->
       let g = Gen.planar ~n seed in
-      let parent = bfs_parents g (seed mod n) in
+      let parent = Traversal.tree_parent g (seed mod n) in
       let enc = Forest_encoding.encode g ~parent in
       match Forest_encoding.decode_forest g enc with Some p -> p = parent | None -> false)
 
@@ -182,7 +179,7 @@ let prop_forest_encoding_constant_size =
     QCheck.(pair (int_bound 10000) (int_range 5 150))
     (fun (seed, n) ->
       let g = Gen.planar ~n seed in
-      let enc = Forest_encoding.encode g ~parent:(bfs_parents g 0) in
+      let enc = Forest_encoding.encode g ~parent:(Traversal.tree_parent g 0) in
       let cbits = Forest_encoding.color_bits enc in
       (* <= 6 colors needs 3 bits; total width 2*3 + 2 = 8 *)
       Forest_encoding.width ~cbits <= 8)
@@ -248,7 +245,7 @@ let test_edge_labels_child_is_endpoint () =
 let test_st_completeness () =
   for seed = 0 to 9 do
     let g = Gen.planar ~n:60 seed in
-    let parent = bfs_parents g 0 in
+    let parent = Traversal.tree_parent g 0 in
     let verdict, stats = Spanning_tree_verify.run ~seed g ~parent in
     Alcotest.(check bool) "accepts spanning tree" true verdict.Dip.accepted;
     Alcotest.(check int) "3 rounds" 3 stats.Dip.interaction_rounds

@@ -17,9 +17,7 @@ let seed = 1234
 
 let planar_instance n =
   let g = Gen.planar ~n 7 in
-  let parent =
-    Array.mapi (fun v pv -> if pv = v then -1 else pv) (Traversal.spanning_tree g 0)
-  in
+  let parent = Traversal.tree_parent g 0 in
   (g, parent)
 
 let protocols () =
@@ -68,6 +66,131 @@ let test_mseq_adapter_completeness () =
   let proto = Net_protocols.multiset_eq ~seed:9 inst in
   let r = Net.execute ~rng:(Rng.create seed) ~model:Fault.reliable proto in
   Alcotest.(check bool) "multiset-eq accepts on a reliable network" true r.Net.accepted
+
+(* ---- one check: the adapters run the synchronous protocols' checks ----- *)
+
+(* A BFS tree from a random root with a few entries re-pointed along
+   random G-edges or cut to -1: pointer cycles and extra roots appear,
+   and no parent leaves N(v). *)
+let cheating_parent g rng =
+  let n = Graph.n g in
+  let parent = Traversal.tree_parent g (Rng.int rng n) in
+  for _ = 1 to Rng.int rng 4 do
+    let v = Rng.int rng n in
+    let nbrs = Graph.neighbors g v in
+    parent.(v) <-
+      (if Rng.int rng 3 = 0 || Array.length nbrs = 0 then -1
+       else nbrs.(Rng.int rng (Array.length nbrs)))
+  done;
+  parent
+
+(* Multisets over the graph with [parent] as the claimed tree: s2 is s1
+   redistributed (equal unions) or, half the time, s1 with one element
+   changed. *)
+let mseq_instance g parent rng =
+  let n = Graph.n g in
+  let universe = 16 in
+  let s1 = Array.init n (fun _ -> List.init (Rng.int rng 3) (fun _ -> Rng.int rng universe)) in
+  let all = Array.of_list (List.concat (Array.to_list s1)) in
+  Rng.shuffle rng all;
+  if Array.length all > 0 && Rng.int rng 2 = 0 then all.(0) <- (all.(0) + 1) mod universe;
+  let pos = ref 0 in
+  let s2 =
+    Array.map
+      (fun l ->
+        let chunk = Array.to_list (Array.sub all !pos (List.length l)) in
+        pos := !pos + List.length l;
+        chunk)
+      s1
+  in
+  { Multiset_equality.tree = g; parent; s1; s2; k = max 2 (Array.length all); universe }
+
+(* (network adapter, synchronous verdict) pairs on one instance *)
+let adapter_pairs ~n ~gseed ~seed =
+  let rng = Rng.create gseed in
+  (* QCheck's int_range shrinker may step below the range *)
+  let g = Gen.planar ~n:(max 4 n) (Rng.int rng 1000) in
+  let parent = cheating_parent g rng in
+  let reps = 1 + Rng.int rng 3 in
+  let inst = mseq_instance g parent rng in
+  [
+    ( Net_protocols.pls_spanning_tree ~graph:g ~parent,
+      (Pls_spanning_tree.run g ~parent).Pls_spanning_tree.verdict );
+    ( Net_protocols.st_verify ~reps ~seed g ~parent,
+      fst (Spanning_tree_verify.run ~seed ~reps g ~parent) );
+    (Net_protocols.multiset_eq ~seed inst, fst (Multiset_equality.run ~seed inst));
+  ]
+
+let prop_reliable_net_equals_sync =
+  QCheck.Test.make ~name:"reliable Net verdict = synchronous verdict (pls, st, mseq)" ~count:60
+    QCheck.(triple (int_range 4 40) (int_bound 100_000) (int_bound 100_000))
+    (fun (n, gseed, seed) ->
+      List.for_all
+        (fun (proto, (sync : Dip.verdict)) ->
+          let r = Net.execute ~rng:(Rng.create seed) ~model:Fault.reliable proto in
+          Bool.equal r.Net.accepted sync.Dip.accepted
+          && List.equal Int.equal r.Net.rejecting sync.Dip.rejecting
+          ||
+          QCheck.Test.fail_reportf "%s: net %b %s, sync %b %s" proto.Net.name r.Net.accepted
+            (String.concat "," (List.map string_of_int r.Net.rejecting))
+            sync.Dip.accepted
+            (String.concat "," (List.map string_of_int sync.Dip.rejecting)))
+        (adapter_pairs ~n ~gseed ~seed))
+
+(* One heard frame bit-flipped, truncated or extended, the others intact:
+   node_check returns a bool, and a frame that no longer parses rejects. *)
+let prop_mutated_frame_never_raises =
+  QCheck.Test.make ~name:"node_check on a flipped/truncated/extended frame never raises" ~count:150
+    QCheck.(quad (int_range 4 30) (int_bound 100_000) (int_bound 2) (int_bound 100_000))
+    (fun (n, gseed, kind, pick) ->
+      List.for_all
+        (fun (proto, _) ->
+          let frames = proto.Net.rounds.(0) in
+          let v = pick mod Graph.n proto.Net.graph in
+          let nbrs = Graph.neighbors proto.Net.graph v in
+          if Array.length nbrs = 0 then true
+          else begin
+            let u = nbrs.(pick mod Array.length nbrs) in
+            let b = frames.(u) in
+            let len = Bits.length b in
+            let mutated =
+              match kind with
+              | 0 when len > 0 ->
+                  let i = pick mod len in
+                  Bits.concat
+                    [ Bits.sub b ~pos:0 ~len:i; Bits.of_bool (not (Bits.get b i));
+                      Bits.sub b ~pos:(i + 1) ~len:(len - i - 1) ]
+              | 1 when len > 0 -> Bits.sub b ~pos:0 ~len:(pick mod len)
+              | _ -> Bits.append b (Bits.of_int ~width:(1 + (pick mod 5)) 0)
+            in
+            let recv w = Some [| (if w = u then mutated else frames.(w)) |] in
+            match proto.Net.node_check v recv with
+            | verdict -> kind = 0 || not verdict
+            | exception e ->
+                QCheck.Test.fail_reportf "%s: node_check raised %s" proto.Net.name
+                  (Printexc.to_string e)
+          end)
+        (adapter_pairs ~n ~gseed ~seed:pick))
+
+let test_mseq_z_echo () =
+  let g, parent = planar_instance 30 in
+  let inst = mseq_instance g parent (Rng.create 3) in
+  let proto = Net_protocols.multiset_eq ~seed:9 inst in
+  let frames = proto.Net.rounds.(0) in
+  let v = 5 and p = parent.(5) in
+  let field = Multiset_equality.field inst in
+  let echo z =
+    let decode b = Option.get (Multiset_equality.label_of_bits ~field b) in
+    let labels = Array.map decode frames in
+    labels.(p) <- { (labels.(p)) with Multiset_equality.z };
+    (Multiset_equality.labels_to_bits inst labels).(p)
+  in
+  let z = (Option.get (Multiset_equality.label_of_bits ~field frames.(p))).Multiset_equality.z in
+  let check zp =
+    proto.Net.node_check v (fun w -> Some [| (if w = p then echo zp else frames.(w)) |])
+  in
+  Alcotest.(check bool) "parent's own z echo: the check passes" true (check z);
+  Alcotest.(check bool) "corrupted parent z echo rejects" false (check ((z + 1) mod field.Fp.p))
 
 (* ---- fault semantics --------------------------------------------------- *)
 
@@ -230,6 +353,12 @@ let () =
             test_reliable_completeness;
           Alcotest.test_case "multiset-eq adapter" `Quick test_mseq_adapter_completeness;
           Alcotest.test_case "rate-0 sweep points" `Quick test_zero_rate_sweep_accepts;
+        ] );
+      ( "one check",
+        [
+          QCheck_alcotest.to_alcotest prop_reliable_net_equals_sync;
+          QCheck_alcotest.to_alcotest prop_mutated_frame_never_raises;
+          Alcotest.test_case "corrupted parent z echo rejects" `Quick test_mseq_z_echo;
         ] );
       ( "faults",
         [

@@ -2,14 +2,11 @@
 
 let qtest = QCheck_alcotest.to_alcotest
 
-let bfs_parents g root =
-  Array.mapi (fun v p -> if p = v then -1 else p) (Traversal.spanning_tree g root)
-
 (* ---- the h(G, T, rho) reduction (Lemma 7.3) -------------------------------- *)
 
 let nested_of inst =
   let g = inst.Planar_embedding.graph in
-  let red = Planar_embedding.reduce inst ~root:0 ~parent:(bfs_parents g 0) in
+  let red = Planar_embedding.reduce inst ~root:0 ~parent:(Traversal.tree_parent g 0) in
   Outerplanar.check_path_witness red.Planar_embedding.h (List.init (Graph.n red.Planar_embedding.h) Fun.id)
 
 let test_lemma_7_3_k4_exhaustive () =
@@ -65,7 +62,10 @@ let prop_lemma_7_3_invalid =
 let test_reduce_structure () =
   let g = Graph.grid 3 3 in
   let rot = Option.get (Gen.embedding g) in
-  let red = Planar_embedding.reduce { Planar_embedding.graph = g; rot } ~root:0 ~parent:(bfs_parents g 0) in
+  let red =
+    Planar_embedding.reduce { Planar_embedding.graph = g; rot } ~root:0
+      ~parent:(Traversal.tree_parent g 0)
+  in
   (* corners: chi(v)+1 per node = n + (n-1); darts: 2 per non-tree edge *)
   let n = Graph.n g and m = Graph.m g in
   Alcotest.(check int) "h size" ((2 * n) - 1 + (2 * (m - (n - 1)))) (Graph.n red.Planar_embedding.h);

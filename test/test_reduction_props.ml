@@ -14,8 +14,7 @@ let seed_n = QCheck.(pair (int_bound 100000) (int_range 8 80))
 
 let reduction inst =
   let root = 0 in
-  let parent = Traversal.spanning_tree inst.Planar_embedding.graph root in
-  let parent = Array.mapi (fun v p -> if p = v then -1 else p) parent in
+  let parent = Traversal.tree_parent inst.Planar_embedding.graph root in
   Planar_embedding.reduce inst ~root ~parent
 
 let euler_path h = List.init (Graph.n h) Fun.id

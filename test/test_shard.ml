@@ -19,12 +19,9 @@
 let qtest = QCheck_alcotest.to_alcotest
 let seed = 1234
 
-(* BFS tree from node 0, roots marked -1 *)
-let tree_parent g = Array.mapi (fun v pv -> if pv = v then -1 else pv) (Traversal.spanning_tree g 0)
-
 let planar_instance n =
   let g = Gen.planar ~n 7 in
-  (g, tree_parent g)
+  (g, Traversal.tree_parent g 0)
 
 let render (r : Net.result) =
   Format.asprintf "%b [%a] [%a] %.17g %a" r.Net.accepted
@@ -192,7 +189,7 @@ let invariance_inputs () =
     ]
   @ [
       ( "pls grid n=1000",
-        Net_protocols.pls_spanning_tree ~graph:grid ~parent:(tree_parent grid),
+        Net_protocols.pls_spanning_tree ~graph:grid ~parent:(Traversal.tree_parent grid 0),
         Fault.chaos ~rate:0.05 );
     ]
 
@@ -248,7 +245,7 @@ let test_shards_clamped_to_n () =
 let ladder_smoke n =
   List.iter
     (fun (name, g) ->
-      let proto = Net_protocols.pls_spanning_tree ~graph:g ~parent:(tree_parent g) in
+      let proto = Net_protocols.pls_spanning_tree ~graph:g ~parent:(Traversal.tree_parent g 0) in
       let expected = reliable_reference proto in
       List.iter
         (fun shards ->
