@@ -42,14 +42,45 @@ let by_name name ~rate =
     | "chaos" -> Ok (chaos ~rate)
     | _ -> Error (Printf.sprintf "unknown fault model %s" name)
 
+(* The stream of one transmission or node: Rng.split_string root (key a b
+   c), derived on the first draw, so a transmission or node that never
+   draws (every rate 0 or 1) never formats its key.  The key is a pure
+   function of (link, delivery index) or of the node, so the draws depend
+   on neither event-queue order nor worker count (ANALYSIS.md,
+   determinism contract).  [key] is a top-level function: making a
+   stream allocates one record and no closure. *)
+type stream = {
+  root : Rng.t;
+  key : int -> int -> int -> string;
+  a : int;
+  b : int;
+  c : int;
+  mutable derived : Rng.t option;
+}
+
+let link_key src dst ix = Printf.sprintf "%d>%d#%d" src dst ix
+let crash_key node _ _ = Printf.sprintf "crash#%d" node
+
+let draw st bound =
+  let s =
+    match st.derived with
+    | Some s -> s
+    | None ->
+        let s = Rng.split_string st.root (st.key st.a st.b st.c) in
+        st.derived <- Some s;
+        s
+  in
+  Rng.int s bound
+
 (* A probability draw consumes exactly one Rng.int from the stream, so the
-   draw sequence of a transmission is a fixed function of the stream alone. *)
+   draw sequence of a transmission is a fixed function of the stream alone.
+   A rate of 0 or 1 decides without a draw. *)
 let million = 1_000_000
 
-let chance rng p =
+let chance st p =
   if p <= 0. then false
   else if p >= 1. then true
-  else Rng.int rng million < int_of_float (p *. float_of_int million)
+  else draw st million < int_of_float (p *. float_of_int million)
 
 let flip_bit b i =
   let s = Bytes.of_string (Bits.to_string b) in
@@ -59,34 +90,27 @@ let flip_bit b i =
 type delivery = { at : int; payload : Bits.t; corrupted : bool }
 type outcome = { deliveries : delivery list; was_dropped : bool; was_duplicated : bool }
 
-(* The per-delivery stream: keyed by (run seed, link id, delivery index)
-   through Rng.split_string, so the draw depends on neither event-queue
-   order nor worker count (ANALYSIS.md, determinism contract). *)
-let stream ~rng ~link ~ix = Rng.split_string rng (Printf.sprintf "%s#%d" link ix)
+let copy st ~now ~latency m payload =
+  let corrupted = chance st m.corrupt && Bits.length payload > 0 in
+  let payload = if corrupted then flip_bit payload (draw st (Bits.length payload)) else payload in
+  let extra = if m.max_delay > 0 && chance st m.delay then 1 + draw st m.max_delay else 0 in
+  { at = now + latency + extra; payload; corrupted }
 
-let transmit ~rng ~link ~ix ~now ~latency m payload =
-  let s = stream ~rng ~link ~ix in
-  if chance s m.drop then { deliveries = []; was_dropped = true; was_duplicated = false }
+let transmit ~rng ~src ~dst ~ix ~now ~latency m payload =
+  let st = { root = rng; key = link_key; a = src; b = dst; c = ix; derived = None } in
+  if chance st m.drop then { deliveries = []; was_dropped = true; was_duplicated = false }
   else begin
-    let dup = chance s m.duplicate in
-    let copy () =
-      let corrupted = chance s m.corrupt && Bits.length payload > 0 in
-      let payload = if corrupted then flip_bit payload (Rng.int s (Bits.length payload)) else payload in
-      let extra =
-        if m.max_delay > 0 && chance s m.delay then 1 + Rng.int s m.max_delay else 0
-      in
-      { at = now + latency + extra; payload; corrupted }
-    in
-    let first = copy () in
-    let deliveries = if dup then [ first; copy () ] else [ first ] in
+    let dup = chance st m.duplicate in
+    let first = copy st ~now ~latency m payload in
+    let deliveries = if dup then [ first; copy st ~now ~latency m payload ] else [ first ] in
     { deliveries; was_dropped = false; was_duplicated = dup }
   end
 
 let crash_round ~rng ~node ~rounds m =
   if rounds <= 0 then None
   else
-    let s = Rng.split_string rng (Printf.sprintf "crash#%d" node) in
-    if chance s m.crash then Some (Rng.int s rounds) else None
+    let st = { root = rng; key = crash_key; a = node; b = 0; c = 0; derived = None } in
+    if chance st m.crash then Some (draw st rounds) else None
 
 let pp ppf m =
   Format.fprintf ppf

@@ -6,7 +6,10 @@
     with {!Rng.split_string} from the run seed and a textual key — the link
     id and delivery index for message faults, the node id for crashes — so
     a fault schedule is a pure function of [(seed, key)] and is identical
-    for every worker count and event-processing order. *)
+    for every worker count and event-processing order.  A stream is
+    derived only when a draw happens: a transmission or node that draws
+    nothing (every rate it meets is 0, or a certain drop or duplicate)
+    formats no key and hashes nothing. *)
 
 type model = {
   name : string;  (** short id, used in sweep reports *)
@@ -44,14 +47,27 @@ type delivery = { at : int; payload : Bits.t; corrupted : bool }
 type outcome = { deliveries : delivery list; was_dropped : bool; was_duplicated : bool }
 
 val transmit :
-  rng:Rng.t -> link:string -> ix:int -> now:int -> latency:int -> model -> Bits.t -> outcome
-(** One transmission attempt of [payload] on [link]: the fault draws come
-    from the stream keyed by [(rng seed, link, ix)]; delivered copies carry
-    their (possibly corrupted) payload and absolute arrival time
-    [now + latency + extra]. *)
+  rng:Rng.t ->
+  src:int ->
+  dst:int ->
+  ix:int ->
+  now:int ->
+  latency:int ->
+  model ->
+  Bits.t ->
+  outcome
+(** One transmission attempt of [payload] on the directed link
+    [src -> dst]: the fault draws come from the stream keyed by
+    [(rng seed, "src>dst#ix")]; delivered copies carry their (possibly
+    corrupted) payload and absolute arrival time [now + latency + extra].
+    The stream is derived only when a draw happens (some rate strictly
+    between 0 and 1, or a corrupted bit's index or a delay's length to
+    pick): under {!reliable} a transmission formats no key and hashes
+    nothing.  The draws are the same as an eager derivation's. *)
 
 val crash_round : rng:Rng.t -> node:int -> rounds:int -> model -> int option
 (** [Some r] iff the node crash-stops at the start of round [r]; drawn from
-    the stream keyed by [(rng seed, "crash#node")]. *)
+    the stream keyed by [(rng seed, "crash#node")], derived only when a
+    draw happens ([crash] above 0). *)
 
 val pp : Format.formatter -> model -> unit

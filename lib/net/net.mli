@@ -15,17 +15,26 @@
     [Degrade] skips unheard neighbors but rejects on quorum loss.  The run
     accepts iff no live node rejects (and at least one node survived).
 
-    The engine splits the nodes into blocks ({!Dipp_graph.Partition}),
-    one event heap each, and advances them in conservative time windows:
-    every window processes the events in [\[T, T + W)] where [T] is the
-    global minimum pending event time and the lookahead
-    [W = max 1 (min latency timeout)] under-approximates the minimum
-    scheduling distance (every handled event schedules its successors at
-    least that many ticks later), so no event generated inside a window
-    can land in that same window.  Arrivals owned by another block are
-    returned as pure values and merged between windows.  {!execute} runs
-    one block on the calling domain; {!Shard} runs several on a Domain
-    pool.
+    The engine splits the nodes into blocks ({!Dipp_graph.Partition})
+    and advances them in conservative time windows: every window
+    processes the events in [\[T, T + W)] where [T] is the global minimum
+    pending event time and the lookahead [W = max 1 (min latency timeout)]
+    under-approximates the minimum scheduling distance (every handled
+    event schedules its successors at least that many ticks later), so no
+    event generated inside a window can land in that same window.
+    Arrivals owned by another block are returned as pure values and
+    merged between windows.  {!execute} runs one block on the calling
+    domain; {!Shard} runs several on a Domain pool.
+
+    Each block keeps a calendar: a bucket of events per pending tick
+    (two key ints and a payload per event) and a small heap of the
+    pending ticks.  A window drains its ticks in order, each bucket
+    sorted once by event key (a merge of the already-ordered runs it was
+    pushed in).  Per-link and per-round state lives in flat arrays over
+    edge slots: each block's members own a contiguous run of slots, one
+    per incident directed edge in adjacency order, so the slot of
+    [u -> v] is [u]'s base plus [v]'s index among [u]'s neighbors, and
+    every slot belongs to exactly one block.
 
     {2 Determinism contract}
 
@@ -39,9 +48,9 @@
       {!Rng.split_string};
     - every event has a unique owner node (a [Send] and an [Ack] execute
       at their source, a [Data] at its destination), and all mutable
-      runtime state is keyed by the owner — so two events interact only
-      when they share an owner, and a block boundary can never sit
-      between them;
+      runtime state sits at the owner's edge slots — so two events
+      interact only when they share an owner, and a block boundary can
+      never sit between them;
     - events are ordered by a structural key
       [(time, kind, round, src, dst, attempt, copy)] computed from the
       event alone (no global insertion counter), so each owner processes
@@ -129,7 +138,8 @@ val execute :
     Preconditions, checked before any event runs (each violation raises
     [Invalid_argument]): [config.latency >= 1] and [config.timeout >= 1]
     (the window lookahead), [0 <= config.retries <= 14], at most 255
-    rounds, and [n < 2^27] (the structural-key packing). *)
+    rounds, and [n < 2^27] (the event-key packing: an event is two
+    machine ints, node ids packed beside kind, round, attempt and copy). *)
 
 val execute_partitioned :
   ?config:config ->

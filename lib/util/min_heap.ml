@@ -1,7 +1,6 @@
 (* Classic binary heap over parallel arrays: three int arrays for the key
    components (kept unboxed) plus one value array.  Sift loops compare keys
-   inline — no closure calls on the hot path, which matters at the tens of
-   millions of events the network engine pushes through this. *)
+   inline, with no closure calls. *)
 
 type 'a t = {
   mutable k0 : int array;

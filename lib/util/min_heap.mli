@@ -2,9 +2,9 @@
 
     Entries are ordered by the lexicographic order on [(k0, k1, k2)].  The
     pop order among entries with {e equal} keys is unspecified (it depends
-    on insertion order), so callers that need a total processing order must
-    make keys unique — the network engine ({!Dipp_net.Net}) keys events by
-    a structural key that is unique for every non-commuting event pair.
+    on insertion order).  The network engine ({!Dipp_net.Net}) keeps only
+    its pending ticks here, one entry per tick that has events, keyed
+    [(tick, 0, 0)]; the events themselves sit in per-tick buckets.
 
     The backing arrays grow geometrically and never shrink; popped value
     slots are overwritten with the [dummy] given at creation so the heap
@@ -25,7 +25,7 @@ val min_key : 'a t -> (int * int * int) option
 (** The smallest key, without removing it. *)
 
 val min_k0 : 'a t -> int option
-(** First component of the smallest key (the event time in the network engine). *)
+(** First component of the smallest key (the next pending tick in the network engine). *)
 
 val pop_min : 'a t -> (int * int * int * 'a) option
 (** Removes and returns the entry with the smallest key; O(log size). *)

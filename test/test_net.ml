@@ -10,6 +10,8 @@
      retry budget recovers more frames;
    - determinism: a run is a pure function of (protocol, config, model,
      seed), and the sweep report is byte-identical across worker counts;
+     a transmission's or crash's stream, derived only when it draws,
+     gives the draws of an eager derivation;
    - preconditions: a config outside the engine's limits (net.mli) raises
      Invalid_argument before any event runs. *)
 
@@ -330,6 +332,97 @@ let test_preconditions () =
     ];
   Alcotest.(check int) "no node decided" 0 !checks
 
+(* ---- fault streams: lazy derivation ----------------------------------- *)
+
+(* The eager reference: every transmission and node derives its stream up
+   front, whether or not it draws. *)
+module Eager = struct
+  let million = 1_000_000
+
+  let chance rng p =
+    if p <= 0. then false
+    else if p >= 1. then true
+    else Rng.int rng million < int_of_float (p *. float_of_int million)
+
+  let flip_bit b i =
+    let s = Bytes.of_string (Bits.to_string b) in
+    Bytes.set s i (match Bytes.get s i with '0' -> '1' | _ -> '0');
+    Bits.of_string (Bytes.to_string s)
+
+  let transmit ~rng ~link ~ix ~now ~latency (m : Fault.model) payload =
+    let s = Rng.split_string rng (Printf.sprintf "%s#%d" link ix) in
+    if chance s m.Fault.drop then
+      { Fault.deliveries = []; was_dropped = true; was_duplicated = false }
+    else begin
+      let dup = chance s m.Fault.duplicate in
+      let copy () =
+        let corrupted = chance s m.Fault.corrupt && Bits.length payload > 0 in
+        let payload =
+          if corrupted then flip_bit payload (Rng.int s (Bits.length payload)) else payload
+        in
+        let extra =
+          if m.Fault.max_delay > 0 && chance s m.Fault.delay then 1 + Rng.int s m.Fault.max_delay
+          else 0
+        in
+        { Fault.at = now + latency + extra; payload; corrupted }
+      in
+      let first = copy () in
+      let deliveries = if dup then [ first; copy () ] else [ first ] in
+      { Fault.deliveries; was_dropped = false; was_duplicated = dup }
+    end
+
+  let crash_round ~rng ~node ~rounds (m : Fault.model) =
+    if rounds <= 0 then None
+    else
+      let s = Rng.split_string rng (Printf.sprintf "crash#%d" node) in
+      if chance s m.Fault.crash then Some (Rng.int s rounds) else None
+end
+
+let render_outcome (o : Fault.outcome) =
+  Printf.sprintf "drop=%b dup=%b [%s]" o.Fault.was_dropped o.Fault.was_duplicated
+    (String.concat "; "
+       (List.map
+          (fun (d : Fault.delivery) ->
+            Printf.sprintf "%d %s %b" d.Fault.at (Bits.to_string d.Fault.payload) d.Fault.corrupted)
+          o.Fault.deliveries))
+
+let fault_case_arb =
+  let rate = QCheck.Gen.oneofl [ 0.; 0.05; 0.3; 1. ] in
+  let model =
+    QCheck.Gen.(
+      map
+        (fun ((drop, corrupt, duplicate), (delay, crash, max_delay)) ->
+          { Fault.name = "drawn"; drop; corrupt; duplicate; delay; max_delay; crash })
+        (pair (triple rate rate rate) (triple rate rate (oneofl [ 0; 4; 64 ]))))
+  in
+  QCheck.make
+    ~print:(fun (m, (src, dst, ix), (seed, now, payload), rounds) ->
+      Format.asprintf "%a src=%d dst=%d ix=%d seed=%d now=%d payload=%s rounds=%d" Fault.pp m
+        src dst ix seed now payload rounds)
+    QCheck.Gen.(
+      quad model
+        (triple (int_bound 100_000) (int_bound 100_000) (int_bound 40))
+        (triple (int_bound 10_000) (int_bound 500)
+           (string_size ~gen:(oneofl [ '0'; '1' ]) (int_bound 40)))
+        (int_bound 6))
+
+let prop_lazy_streams_match_eager =
+  QCheck.Test.make ~name:"transmit/crash_round: lazy streams give the eager draws" ~count:2000
+    fault_case_arb (fun (m, (src, dst, ix), (seed, now, payload), rounds) ->
+      let rng = Rng.create seed in
+      let payload = Bits.of_string payload in
+      let lazy_o = Fault.transmit ~rng ~src ~dst ~ix ~now ~latency:2 m payload in
+      let eager_o =
+        Eager.transmit ~rng ~link:(Printf.sprintf "%d>%d" src dst) ~ix ~now ~latency:2 m payload
+      in
+      let lazy_c = Fault.crash_round ~rng ~node:src ~rounds m in
+      let eager_c = Eager.crash_round ~rng ~node:src ~rounds m in
+      if render_outcome lazy_o <> render_outcome eager_o then
+        QCheck.Test.fail_reportf "transmit: lazy %s, eager %s" (render_outcome lazy_o)
+          (render_outcome eager_o);
+      if lazy_c <> eager_c then QCheck.Test.fail_report "crash_round differs";
+      true)
+
 let test_by_name_validates_rate () =
   let ok name rate =
     match Fault.by_name name ~rate with Ok m -> m.Fault.name = name | Error _ -> false
@@ -368,6 +461,7 @@ let () =
             test_total_corruption_semantic_vs_checksum;
           Alcotest.test_case "certain crash" `Quick test_certain_crash;
           Alcotest.test_case "retries recover frames" `Quick test_retries_recover_frames;
+          QCheck_alcotest.to_alcotest prop_lazy_streams_match_eager;
         ] );
       ( "determinism",
         [

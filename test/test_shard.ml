@@ -13,6 +13,9 @@
      shard counts 1/2/4/8, worker counts 1/2, and partition seeds, under
      every fault model, and on a 1 000-node ladder grid under chaos —
      the determinism contract (net.mli);
+   - pinned output: the rendered result and run counters equal strings
+     recorded from the heap engine the calendar engine replaced, for
+     inputs the invariance test does not reach;
    - scale: the 10^4 ladder rung renders the reliable reference at 1 and
      8 shards; the 10^6 rung does too behind DIPP_HEAVY=1. *)
 
@@ -24,11 +27,10 @@ let planar_instance n =
   (g, Traversal.tree_parent g 0)
 
 let render (r : Net.result) =
-  Format.asprintf "%b [%a] [%a] %.17g %a" r.Net.accepted
-    (Format.pp_print_list Format.pp_print_int)
-    r.Net.rejecting
-    (Format.pp_print_list Format.pp_print_int)
-    r.Net.crashed_nodes r.Net.heard Net.pp_stats r.Net.stats
+  let ints = String.concat "," (List.map string_of_int r.Net.rejecting) in
+  let crashed = String.concat "," (List.map string_of_int r.Net.crashed_nodes) in
+  Format.asprintf "%b [%s] [%s] %.17g %a" r.Net.accepted ints crashed r.Net.heard Net.pp_stats
+    r.Net.stats
 
 (* ---- partition invariants ---------------------------------------------- *)
 
@@ -213,6 +215,93 @@ let test_invariant_across_shards_jobs_seeds () =
         ])
     (invariance_inputs ())
 
+(* ---- pinned engine output ---------------------------------------------- *)
+
+(* The full rendered result plus the run counters, recorded from the
+   heap engine, for inputs the invariance test does not reach: a
+   two-tick window (latency 2, timeout 3 give W = 2), a long backoff chain
+   (retries 7) under a far deadline, and a five-round transport.  Any
+   change to the event order, the fault-stream keys or the window
+   boundaries shows up here as a changed string. *)
+let pin_inputs () =
+  let g, parent = planar_instance 60 in
+  let st = Net_protocols.st_verify ~reps:3 ~seed:5 g ~parent in
+  let five_rounds =
+    let per_phase =
+      List.concat_map
+        (fun bits -> [ (Dip.Prover_phase, bits); (Dip.Verifier_phase, 8) ])
+        [ 12; 0; 40; 3; 17 ]
+    in
+    let stats =
+      {
+        Dip.interaction_rounds = List.length per_phase;
+        proof_size_bits = 40;
+        max_node_total_bits = 72;
+        total_prover_bits = 0;
+        total_verifier_bits = 0;
+        phases = List.map fst per_phase;
+        per_phase;
+      }
+    in
+    Net_protocols.transport ~name:"five-rounds" ~graph:g ~stats
+      ~verdict:{ Dip.accepted = false; rejecting = [ 4; 31 ] }
+  in
+  [
+    ("latency 2 timeout 3", st, { Net.default_config with Net.latency = 2; timeout = 3 });
+    ("retries 7 deadline 1000", st, { Net.default_config with Net.retries = 7; deadline = 1000 });
+    ("5-round transport", five_rounds, Net.default_config);
+  ]
+
+let pin_models = [ ("chaos 0.3", Fault.chaos ~rate:0.3); ("delay 0.3", Fault.delay ~rate:0.3 ()) ]
+
+let pinned_run ~config ~model ~shards proto =
+  let r, st =
+    Shard.execute_ex ~config ~shards ~jobs:2 ~rng:(Rng.create seed) ~model proto
+  in
+  Printf.sprintf "%s events=%d windows=%d cross=%d" (render r) st.Shard.events st.Shard.windows
+    st.Shard.cross_messages
+
+(* (input, model, shards) -> pinned string *)
+let pinned =
+  [
+    ( "latency 2 timeout 3", "chaos 0.3", 1,
+      "false [1,3,4,5,6,8,9,10,11,13,15,24,28,48,49,57] [46,53] 0.99135033323674282 sent=609 delivered=1187 dropped=177 corrupted=107 duplicated=158 late=25 retransmits=365 acks=597 events=2006 windows=52 cross=0" );
+    ( "latency 2 timeout 3", "chaos 0.3", 4,
+      "false [1,3,4,5,6,8,9,10,11,13,15,24,28,48,49,57] [46,53] 0.99135033323674282 sent=609 delivered=1187 dropped=177 corrupted=107 duplicated=158 late=25 retransmits=365 acks=597 events=2006 windows=52 cross=541" );
+    ( "latency 2 timeout 3", "delay 0.3", 1,
+      "true [] [] 1 sent=559 delivered=1118 dropped=0 corrupted=0 duplicated=0 late=60 retransmits=311 acks=559 events=1912 windows=65 cross=0" );
+    ( "latency 2 timeout 3", "delay 0.3", 4,
+      "true [] [] 1 sent=559 delivered=1118 dropped=0 corrupted=0 duplicated=0 late=60 retransmits=311 acks=559 events=1912 windows=65 cross=498" );
+    ( "retries 7 deadline 1000", "chaos 0.3", 1,
+      "false [3,4,5,6,8,9,10,11,13,15,24,28,48,49,57] [46,53] 0.99135033323674282 sent=507 delivered=970 dropped=146 corrupted=87 duplicated=133 late=0 retransmits=263 acks=476 events=1721 windows=100 cross=0" );
+    ( "retries 7 deadline 1000", "chaos 0.3", 4,
+      "false [3,4,5,6,8,9,10,11,13,15,24,28,48,49,57] [46,53] 0.99135033323674282 sent=507 delivered=970 dropped=146 corrupted=87 duplicated=133 late=0 retransmits=263 acks=476 events=1721 windows=100 cross=451" );
+    ( "retries 7 deadline 1000", "delay 0.3", 1,
+      "true [] [] 1 sent=419 delivered=838 dropped=0 corrupted=0 duplicated=0 late=0 retransmits=171 acks=419 events=1505 windows=111 cross=0" );
+    ( "retries 7 deadline 1000", "delay 0.3", 4,
+      "true [] [] 1 sent=419 delivered=838 dropped=0 corrupted=0 duplicated=0 late=0 retransmits=171 acks=419 events=1505 windows=111 cross=370" );
+    ( "5-round transport", "chaos 0.3", 1,
+      "false [0,3,4,7,8,10,11,12,13,20,24,31,36,49] [46,53] 0.94920473936701089 sent=2654 delivered=4787 dropped=706 corrupted=340 duplicated=612 late=107 retransmits=1426 acks=2227 events=8488 windows=349 cross=0" );
+    ( "5-round transport", "chaos 0.3", 4,
+      "false [0,3,4,7,8,10,11,12,13,20,24,31,36,49] [46,53] 0.94920473936701089 sent=2654 delivered=4787 dropped=706 corrupted=340 duplicated=612 late=107 retransmits=1426 acks=2227 events=8488 windows=349 cross=2185" );
+    ( "5-round transport", "delay 0.3", 1,
+      "false [4,13,23,31] [] 0.99523809523809514 sent=2249 delivered=4498 dropped=0 corrupted=0 duplicated=0 late=286 retransmits=1009 acks=2249 events=7899 windows=378 cross=0" );
+    ( "5-round transport", "delay 0.3", 4,
+      "false [4,13,23,31] [] 0.99523809523809514 sent=2249 delivered=4498 dropped=0 corrupted=0 duplicated=0 late=286 retransmits=1009 acks=2249 events=7899 windows=378 cross=2054" );
+  ]
+
+let test_pinned_engine () =
+  let inputs = pin_inputs () in
+  List.iter
+    (fun (name, mname, shards, expected) ->
+      let _, proto, config = List.find (fun (n, _, _) -> n = name) inputs in
+      let model = List.assoc mname pin_models in
+      Alcotest.(check string)
+        (Printf.sprintf "%s, %s, %d shard(s)" name mname shards)
+        expected
+        (pinned_run ~config ~model ~shards proto))
+    pinned
+
 let test_stats_shape () =
   let g, parent = planar_instance 60 in
   let proto = Net_protocols.pls_spanning_tree ~graph:g ~parent in
@@ -314,6 +403,8 @@ let () =
         [
           Alcotest.test_case "faulty runs invariant across shards/jobs/partition seeds" `Quick
             test_invariant_across_shards_jobs_seeds;
+          Alcotest.test_case "pinned output: 2-tick window, long backoff, 5 rounds" `Quick
+            test_pinned_engine;
         ] );
       ( "scale",
         [
