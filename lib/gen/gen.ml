@@ -96,29 +96,148 @@ let maximal_outerplanar ~n seed =
 (* Planar graphs                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Apollonian-style stacking into random faces, then random deletions that
+   keep the graph connected.  Near-linear:
+   - the faces live in a Fenwick tree over 3n slots filled from the top
+     down, three per step in the order (a,b,v), (a,c,v), (b,c,v) from the
+     front, so the k-th live slot is the k-th face of a newest-first face
+     list and each draw picks a face in O(log n);
+   - a candidate edge is dropped exactly when it is not a bridge of what
+     is left, decided by [bridge] on per-CSR-slot flags.
+   The graph is built twice: once stacked, once at the end. *)
+
+(* Fenwick tree over slots [0 .. size-1] holding 0/1 counts. *)
+let fenwick_add fen i d =
+  let i = ref (i + 1) in
+  while !i < Array.length fen do
+    fen.(!i) <- fen.(!i) + d;
+    i := !i + (!i land - !i)
+  done
+
+(* The slot holding the k-th (from 0) set count. *)
+let fenwick_find fen k =
+  let size = Array.length fen - 1 in
+  let step = ref 1 in
+  while 2 * !step <= size do
+    step := 2 * !step
+  done;
+  let pos = ref 0 and rem = ref (k + 1) in
+  while !step > 0 do
+    let nx = !pos + !step in
+    if nx <= size && fen.(nx) < !rem then begin
+      pos := nx;
+      rem := !rem - fen.(nx)
+    end;
+    step := !step / 2
+  done;
+  !pos
+
 let planar ~n seed =
   if n < 3 then invalid_arg "Gen.planar";
   let rng = Rng.create seed in
-  (* Apollonian-style stacking: keep a list of triangular faces, insert new
-     nodes into random faces. *)
-  let edges = ref [ (0, 1); (1, 2); (0, 2) ] in
-  let faces = ref [| (0, 1, 2) |] in
-  let face_list = ref [ (0, 1, 2) ] in
-  ignore faces;
+  let slots = 3 * n in
+  let fen = Array.make (slots + 1) 0 in
+  let fa = Array.make slots 0 and fb = Array.make slots 0 and fc = Array.make slots 0 in
+  let top = ref slots in
+  let push a b c =
+    decr top;
+    fa.(!top) <- a;
+    fb.(!top) <- b;
+    fc.(!top) <- c;
+    fenwick_add fen !top 1
+  in
+  push 0 1 2;
+  let edges = Array.make (3 * (n - 2)) (0, 0) in
+  edges.(0) <- (0, 1);
+  edges.(1) <- (1, 2);
+  edges.(2) <- (0, 2);
   for v = 3 to n - 1 do
-    let k = Rng.int rng (List.length !face_list) in
-    let a, b, c = List.nth !face_list k in
-    edges := (v, a) :: (v, b) :: (v, c) :: !edges;
-    face_list := (a, b, v) :: (a, c, v) :: (b, c, v) :: List.filteri (fun i _ -> i <> k) !face_list
+    let s = fenwick_find fen (Rng.int rng (1 + (2 * (v - 3)))) in
+    let a = fa.(s) and b = fb.(s) and c = fc.(s) in
+    fenwick_add fen s (-1);
+    let e = 3 * (v - 2) in
+    edges.(e) <- (v, a);
+    edges.(e + 1) <- (v, b);
+    edges.(e + 2) <- (v, c);
+    push b c v;
+    push a c v;
+    push a b v
   done;
-  (* random deletions keeping connectivity *)
-  let g = Graph.create ~n (List.map (fun (a, b) -> Graph.normalize_edge a b) !edges) in
-  let candidates = List.filter (fun _ -> Rng.int rng 4 = 0) (Graph.edges g) in
-  List.fold_left
-    (fun acc e ->
-      let g' = Graph.remove_edges acc [ e ] in
-      if Traversal.is_connected g' then g' else acc)
-    g candidates
+  let g = Graph.of_edge_array ~n edges in
+  (* Flags per CSR slot, row u from off.(u): set on both ends of every
+     dropped edge and of every candidate found to be a bridge.  A bridge
+     can stay flagged: no cycle runs through it, so no later search needs
+     it, and later deletions keep it a bridge. *)
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Graph.degree g u
+  done;
+  let gone = Bytes.make off.(n) '\000' in
+  let seen = Array.make n 0 and qa = Array.make n 0 and qb = Array.make n 0 in
+  let stamp = ref 0 in
+  (* Is u-v, already flagged, a bridge of what is left?  Two
+     breadth-first searches, from u and from v, advance one vertex at a
+     time and stop when one reaches a vertex the other has seen (not a
+     bridge) or runs out (a bridge), so a non-bridge usually costs one
+     triangle and a bridge the smaller side.  [seen] holds [sa] for u's
+     side and [sb] for v's, fresh per call. *)
+  let bridge u v =
+    stamp := !stamp + 2;
+    let sa = !stamp and sb = !stamp + 1 in
+    seen.(u) <- sa;
+    seen.(v) <- sb;
+    qa.(0) <- u;
+    qb.(0) <- v;
+    let ha = ref 0 and ta = ref 1 and hb = ref 0 and tb = ref 1 in
+    let expand q head tail own other =
+      let x = q.(!head) in
+      incr head;
+      let row = Graph.neighbors g x in
+      let met = ref false and i = ref 0 in
+      while (not !met) && !i < Array.length row do
+        if Bytes.get gone (off.(x) + !i) = '\000' then begin
+          let w = row.(!i) in
+          if seen.(w) = other then met := true
+          else if seen.(w) <> own then begin
+            seen.(w) <- own;
+            q.(!tail) <- w;
+            incr tail
+          end
+        end;
+        incr i
+      done;
+      !met
+    in
+    let rec go () =
+      if !ha = !ta || !hb = !tb then true
+      else if expand qa ha ta sa sb || expand qb hb tb sb sa then false
+      else go ()
+    in
+    go ()
+  in
+  (* Candidates in lexicographic order, one draw per edge.  An edge's fate
+     is final once decided: later deletions keep a bridge a bridge. *)
+  let out = Array.make (Graph.m g) (0, 0) and kept = ref 0 in
+  for u = 0 to n - 1 do
+    Array.iteri
+      (fun i v ->
+        if u < v then begin
+          let keep =
+            Rng.int rng 4 <> 0
+            || begin
+                 Bytes.set gone (off.(u) + i) '\001';
+                 Bytes.set gone (off.(v) + Graph.neighbor_slot g v u) '\001';
+                 bridge u v
+               end
+          in
+          if keep then begin
+            out.(!kept) <- (u, v);
+            incr kept
+          end
+        end)
+      (Graph.neighbors g u)
+  done;
+  Graph.of_edge_array ~n (Array.sub out 0 !kept)
 
 let planar_bounded_degree ~n seed =
   let rng = Rng.create seed in

@@ -44,7 +44,13 @@ val maximal_outerplanar : n:int -> int -> Graph.t
 
 val planar : n:int -> int -> Graph.t
 (** Random connected planar graph: an Apollonian-style stacked
-    triangulation with random edge deletions (kept connected). *)
+    triangulation with random edge deletions (kept connected).
+    Near-linear: a face is drawn from a Fenwick tree of slots in
+    O(log n), and a deletion candidate costs one two-sided bridge search
+    that usually stops within a triangle.  The output for every
+    [(n, seed)] is the one the former quadratic body (a face list, and a
+    rebuild plus connectivity check per candidate) gave; test_gen.ml
+    keeps that body as the reference. *)
 
 val planar_bounded_degree : n:int -> int -> Graph.t
 (** A grid-with-diagonals variant: planar with max degree <= 8. *)

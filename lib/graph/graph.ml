@@ -112,23 +112,38 @@ let remove_edges t es =
   let banned = List.fold_left (fun s (u, v) -> Edge_set.add (normalize_edge u v) s) Edge_set.empty es in
   create ~n:t.n (List.filter (fun e -> not (Edge_set.mem e banned)) (edges t))
 
+(* Walks only the members' rows; a member's new id is found by binary
+   search over the members sorted by old id, so one call costs
+   O((k + sum of member degrees) log k) and nothing of size n. *)
 let induced t nodes =
   let nodes = Array.of_list nodes in
   let k = Array.length nodes in
-  let back = Array.make t.n (-1) in
-  Array.iteri
-    (fun i v ->
-      if back.(v) <> -1 then invalid_arg "Graph.induced: duplicate node";
-      back.(v) <- i)
-    nodes;
-  let es =
-    fold_edges
-      (fun (u, v) acc ->
-        if back.(u) >= 0 && back.(v) >= 0 then (back.(u), back.(v)) :: acc else acc)
-      t []
+  let order = Array.init k Fun.id in
+  Array.sort (fun i j -> Int.compare nodes.(i) nodes.(j)) order;
+  for i = 1 to k - 1 do
+    if nodes.(order.(i)) = nodes.(order.(i - 1)) then invalid_arg "Graph.induced: duplicate node"
+  done;
+  let new_id v =
+    let rec search lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let w = nodes.(order.(mid)) in
+        if w = v then order.(mid) else if w < v then search (mid + 1) hi else search lo mid
+    in
+    search 0 k
   in
-  Array.iter (fun v -> back.(v) <- -1) nodes;
-  (create ~n:k es, nodes)
+  let es = ref [] in
+  Array.iteri
+    (fun i u ->
+      Array.iter
+        (fun v ->
+          if u < v then
+            let j = new_id v in
+            if j >= 0 then es := (i, j) :: !es)
+        t.adj.(u))
+    nodes;
+  (create ~n:k !es, nodes)
 
 let relabel t ~perm =
   if Array.length perm <> t.n then invalid_arg "Graph.relabel";

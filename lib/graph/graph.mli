@@ -57,7 +57,9 @@ val remove_edges : t -> edge list -> t
 val induced : t -> int list -> t * int array
 (** [induced g nodes] is the subgraph induced by [nodes] (relabelled
     [0..k-1] in the given order) together with the map from new ids back to
-    original ids. *)
+    original ids.  Walks only the members' rows: O((k + their degrees)
+    log k), nothing of size [n g].  [Invalid_argument] on a repeated
+    node. *)
 
 val relabel : t -> perm:int array -> t
 (** [relabel g ~perm] renames node [v] to [perm.(v)]; [perm] must be a

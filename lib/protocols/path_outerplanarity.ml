@@ -75,7 +75,13 @@ let longest_marks ~n intervals =
 let path_parents ~n path =
   (* parent = left neighbour, root = leftmost *)
   let parent = Array.make n (-1) in
-  List.iteri (fun i v -> if i > 0 then parent.(v) <- List.nth path (i - 1)) path;
+  let rec link prev = function
+    | v :: rest ->
+        parent.(v) <- prev;
+        link v rest
+    | [] -> ()
+  in
+  (match path with first :: rest -> link first rest | [] -> ());
   parent
 
 let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat) ~prover inst =

@@ -125,6 +125,62 @@ let prop_tw2_no_invalid =
       | Some g -> not (Series_parallel.is_treewidth_le_2 g)
       | None -> true)
 
+(* The historical quadratic [Gen.planar] body, kept as the reference the
+   near-linear generator must reproduce edge for edge. *)
+let planar_reference ~n seed =
+  let rng = Rng.create seed in
+  let edges = ref [ (0, 1); (1, 2); (0, 2) ] in
+  let face_list = ref [ (0, 1, 2) ] in
+  for v = 3 to n - 1 do
+    let k = Rng.int rng (List.length !face_list) in
+    let a, b, c = List.nth !face_list k in
+    edges := (v, a) :: (v, b) :: (v, c) :: !edges;
+    face_list := (a, b, v) :: (a, c, v) :: (b, c, v) :: List.filteri (fun i _ -> i <> k) !face_list
+  done;
+  let g = Graph.create ~n (List.map (fun (a, b) -> Graph.normalize_edge a b) !edges) in
+  let candidates = List.filter (fun _ -> Rng.int rng 4 = 0) (Graph.edges g) in
+  List.fold_left
+    (fun acc e ->
+      let g' = Graph.remove_edges acc [ e ] in
+      if Traversal.is_connected g' then g' else acc)
+    g candidates
+
+let same_as_reference ~n seed =
+  List.equal
+    (fun a b -> Graph.compare_edge a b = 0)
+    (Graph.edges (Gen.planar ~n seed))
+    (Graph.edges (planar_reference ~n seed))
+
+let prop_planar_reference =
+  QCheck.Test.make ~name:"gen: planar gives the reference edge list" ~count:150
+    QCheck.(pair int (int_range 3 300))
+    (fun (seed, n) -> same_as_reference ~n seed)
+
+let test_planar_reference_600 () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool) (Printf.sprintf "n = 600, seed %d" seed) true (same_as_reference ~n:600 seed))
+    [ 0; 3; 977 ]
+
+(* Words allocated per node by one [Gen.planar] call.  Arrays past the
+   minor-heap size limit go straight to the major heap, so the count is
+   minor + major - promoted, read after a minor collection, which brings
+   the counters up to date and makes them exact in native code. *)
+let planar_words_per_node n =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  ignore (Sys.opaque_identity (Gen.planar ~n 1));
+  (words () -. before) /. float_of_int n
+
+let test_planar_linear_alloc () =
+  let w256 = planar_words_per_node 256 and w2048 = planar_words_per_node 2048 in
+  if w2048 > 1.25 *. w256 then
+    Alcotest.failf "Gen.planar words per node: %.0f at n = 2048 > 1.25 x %.0f at n = 256" w2048 w256
+
 let test_determinism () =
   let g1 = Gen.planar ~n:50 7 and g2 = Gen.planar ~n:50 7 in
   Alcotest.(check bool) "same graph" true (Graph.equal g1 g2);
@@ -153,6 +209,9 @@ let () =
           qtest prop_maximal_outerplanar_gen;
           qtest prop_embedding_valid;
           qtest prop_corrupted_invalid;
+          qtest prop_planar_reference;
+          Alcotest.test_case "planar reference at n = 600" `Quick test_planar_reference_600;
+          Alcotest.test_case "planar allocation is linear" `Quick test_planar_linear_alloc;
         ] );
       ( "sp-tw",
         [ qtest prop_sp_valid; qtest prop_sp_no_invalid; qtest prop_tw2_valid; qtest prop_tw2_no_invalid ] );

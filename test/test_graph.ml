@@ -68,6 +68,42 @@ let test_induced () =
   Alcotest.(check int) "m" 3 (Graph.m sub);
   Alcotest.(check (array int)) "back map" [| 1; 3; 4 |] back
 
+(* The historical [Graph.induced], which folds over every edge of the
+   parent graph, kept as the reference for the row-walking version. *)
+let induced_reference g nodes =
+  let nodes = Array.of_list nodes in
+  let back = Array.make (Graph.n g) (-1) in
+  Array.iteri
+    (fun i v ->
+      if back.(v) <> -1 then invalid_arg "Graph.induced: duplicate node";
+      back.(v) <- i)
+    nodes;
+  let es =
+    Graph.fold_edges
+      (fun (u, v) acc -> if back.(u) >= 0 && back.(v) >= 0 then (back.(u), back.(v)) :: acc else acc)
+      g []
+  in
+  (Graph.create ~n:(Array.length nodes) es, nodes)
+
+let prop_induced_reference =
+  QCheck.Test.make ~name:"graph: induced agrees with the edge fold" ~count:300
+    QCheck.(pair graph_arb (pair (int_bound 10000) bool))
+    (fun ((seed, n, extra), (sseed, dup)) ->
+      let g = random_connected_graph seed ~n ~extra in
+      (* a random subset in random order, sometimes with one node repeated *)
+      let rng = Rng.create sseed in
+      let perm = Array.init n Fun.id in
+      Rng.shuffle rng perm;
+      let k = Rng.int rng (n + 1) in
+      let nodes = Array.to_list (Array.sub perm 0 k) in
+      let nodes = if dup && k > 0 then nodes @ [ perm.(Rng.int rng k) ] else nodes in
+      let run f =
+        match f g nodes with
+        | sub, back -> Ok (Graph.n sub, Graph.edges sub, Array.to_list back)
+        | exception Invalid_argument msg -> Error msg
+      in
+      run Graph.induced = run induced_reference)
+
 let test_relabel () =
   let g = Graph.path_graph 3 in
   let g' = Graph.relabel g ~perm:[| 2; 0; 1 |] in
@@ -311,6 +347,7 @@ let () =
           Alcotest.test_case "constructions" `Quick test_constructions;
           Alcotest.test_case "subdivide" `Quick test_subdivide;
           Alcotest.test_case "induced" `Quick test_induced;
+          qtest prop_induced_reference;
           Alcotest.test_case "relabel" `Quick test_relabel;
           Alcotest.test_case "union disjoint" `Quick test_union_disjoint;
           qtest prop_degree_sum;
