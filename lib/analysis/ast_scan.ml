@@ -3,11 +3,26 @@ let parse_string ~filename src =
   Location.init lexbuf filename;
   Parse.implementation lexbuf
 
-let parse_file path =
+let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> parse_string ~filename:path (really_input_string ic (in_channel_length ic)))
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let parse_file path = parse_string ~filename:path (read_file path)
+
+(* Sorted, so every pass reports files in the same order; dotfiles and
+   dune's [_build] are never source. *)
+let ml_files roots =
+  let rec walk acc path =
+    if Sys.is_directory path then
+      Sys.readdir path |> Array.to_list |> List.sort String.compare
+      |> List.filter (fun name -> name <> "" && name.[0] <> '.' && name <> "_build")
+      |> List.fold_left (fun acc name -> walk acc (Filename.concat path name)) acc
+    else if Filename.check_suffix path ".ml" then path :: acc
+    else acc
+  in
+  List.rev (List.fold_left walk [] roots)
 
 let rec ident_path = function
   | Longident.Lident s -> s
@@ -36,21 +51,41 @@ let pattern_vars p =
   iter.pat iter p;
   !acc
 
-(* ---- suppressions ---------------------------------------------------- *)
-
-type suppressions = (int, string list) Hashtbl.t
-
-let marker = "dipp-lint:"
+(* ---- marker comments ------------------------------------------------ *)
 
 let find_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
   go 0
 
+let is_ident_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' || c = '\''
+
+let marker_comments ~marker src =
+  let m = String.length marker in
+  List.concat
+    (List.mapi
+       (fun i line ->
+         match find_sub line marker with
+         | None -> []
+         | Some j ->
+             let rest = String.sub line (j + m) (String.length line - j - m) in
+             let rest = match find_sub rest "*)" with Some k -> String.sub rest 0 k | None -> rest in
+             [ (i + 1, rest) ])
+       (String.split_on_char '\n' src))
+
+let annotation_at ?(where = fun _ -> true) tbl ~line =
+  let at l = match Hashtbl.find_opt tbl l with Some a when where a -> Some (l, a) | _ -> None in
+  match at line with Some _ as hit -> hit | None -> at (line - 1)
+
+(* ---- suppressions ---------------------------------------------------- *)
+
+type suppressions = (int, string list) Hashtbl.t
+
 let is_rule_char c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-' || c = '_'
 
+(* Splits on anything that cannot appear in a rule id. *)
 let rule_tokens rest =
-  (* split on anything that cannot appear in a rule id; stops cleanly at "*)" *)
   let toks = ref [] and buf = Buffer.create 16 in
   let flush () =
     if Buffer.length buf > 0 then begin
@@ -64,25 +99,17 @@ let rule_tokens rest =
 
 let suppressions_of_source src : suppressions =
   let tbl = Hashtbl.create 8 in
-  List.iteri
-    (fun i line ->
-      match find_sub line marker with
-      | None -> ()
-      | Some j -> (
-          let rest = String.sub line (j + String.length marker) (String.length line - j - String.length marker) in
-          match rule_tokens rest with
-          | "allow" :: (_ :: _ as rules) -> Hashtbl.replace tbl (i + 1) rules
-          | _ -> ()))
-    (String.split_on_char '\n' src);
+  List.iter
+    (fun (line, text) ->
+      match rule_tokens text with
+      | "allow" :: (_ :: _ as rules) -> Hashtbl.replace tbl line rules
+      | _ -> ())
+    (marker_comments ~marker:"dipp-lint:" src);
   tbl
 
 let suppressed tbl ~line ~rule =
-  let covers l =
-    match Hashtbl.find_opt tbl l with
-    | Some rules -> List.mem rule rules || List.mem "all" rules
-    | None -> false
-  in
-  covers line || covers (line - 1)
+  Option.is_some
+    (annotation_at tbl ~line ~where:(fun rules -> List.mem rule rules || List.mem "all" rules))
 
 let suppression_entries tbl =
   Hashtbl.fold (fun line rules acc -> (line, rules) :: acc) tbl []

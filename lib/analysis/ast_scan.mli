@@ -8,7 +8,14 @@ val parse_string : filename:string -> string -> Parsetree.structure
 (** Parses an implementation; [filename] seeds the locations.  Raises the
     compiler's located exceptions (e.g. [Syntaxerr.Error]) on bad input. *)
 
+val read_file : string -> string
+(** The whole file, bytes as on disk. *)
+
 val parse_file : string -> Parsetree.structure
+
+val ml_files : string list -> string list
+(** Every [.ml] under the roots (a root may itself be an [.ml] file), in
+    sorted path order, skipping dotfiles and [_build]. *)
 
 val ident_path : Longident.t -> string
 (** Dotted rendering, e.g. ["Graph.fold_edges"].  [Lapply] renders with
@@ -20,6 +27,32 @@ val last_two : Longident.t -> (string * string) option
 
 val pattern_vars : Parsetree.pattern -> string list
 (** Every value name the pattern binds ([Ppat_var] and [Ppat_alias]). *)
+
+(** {2 Marker comments}
+
+    The three analyzers read trusted comments of the shape
+    [(* <marker> <text> *)]: [dipp-lint:] suppressions here,
+    [dipp-race:] and [dipp-refine:] annotations in {!Race} and {!Refine}.
+    Each keeps its own grammar; the scan and the coverage rule are
+    shared. *)
+
+val find_sub : string -> string -> int option
+(** Index of the first occurrence of the second string in the first. *)
+
+val is_ident_char : char -> bool
+(** A character of an OCaml identifier ([a-z], [A-Z], digits, [_], [']). *)
+
+val marker_comments : marker:string -> string -> (int * string) list
+(** Every source line holding [marker], as [(line, text)]: the 1-based
+    line and the text after the first [marker] on it, cut where the
+    comment closes (so code after the comment is never read as part of
+    it).  In line order. *)
+
+val annotation_at :
+  ?where:('a -> bool) -> (int, 'a) Hashtbl.t -> line:int -> (int * 'a) option
+(** The entry covering [line]: the one written on [line] itself, else the
+    one on the line above, with the line it was written on.  [where]
+    (default: any) skips entries that do not apply. *)
 
 (** {2 Suppressions}
 

@@ -10,71 +10,37 @@ let renderer = function
   | Json -> Report.pp_json
   | Sarif -> Report.pp_sarif
 
-(* The [--refine-safe] report: every subscript/slice the refinement pass
-   proved in bounds, one `file:line:col: [refine-safe] desc` line each. *)
-let rec ml_files acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort String.compare
-    |> List.filter (fun name -> name <> "" && name.[0] <> '.' && name <> "_build")
-    |> List.fold_left (fun acc name -> ml_files acc (Filename.concat path name)) acc
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let index_tree roots =
-  let files = List.rev (List.fold_left ml_files [] roots) in
-  let program = Typed_scan.empty () in
-  List.iter
-    (fun file ->
-      match Ast_scan.parse_file file with
-      | structure ->
-          Typed_scan.add_structure ~file program ~modname:(Typed_scan.module_name file) structure
-      | exception _ -> ())
-    files;
-  (files, program)
-
-let print_safes out roots =
-  let files, program = index_tree roots in
-  let total = ref 0 in
+(* The proved-safe listings: every site a pass proved (or trusts) safe,
+   one `file:line:col: [tag] proof` line each, then a total.  [sites]
+   runs the pass over one parsed file given its source text. *)
+let print_safe_listing out roots ~tag ~total sites =
+  let files = Ast_scan.ml_files roots in
+  let program = Typed_scan.load_files files in
+  let count = ref 0 in
   List.iter
     (fun file ->
       match Ast_scan.parse_file file with
       | exception _ -> ()
       | structure ->
-          let annots = Refine.annotations_of_source (read_file file) in
-          let result = Refine.analyze ~program ~annots ~filename:file structure in
           List.iter
-            (fun (s : Refine.safe) ->
-              incr total;
-              Format.fprintf out "%s:%d:%d: [refine-safe] %s@." s.sfile s.sline s.scol s.sdesc)
-            result.safe)
+            (fun (sfile, line, col, desc) ->
+              incr count;
+              Format.fprintf out "%s:%d:%d: [%s] %s@." sfile line col tag desc)
+            (sites ~program ~src:(Ast_scan.read_file file) ~filename:file structure))
     files;
-  Format.fprintf out "%d subscript(s) proved safe@." !total
+  Format.fprintf out "%d %s proved safe@." !count total
 
-(* The [--race-safe] report: every shared-state site the domain-safety
-   pass proved (or trusts) safe, with its proof. *)
-let print_race_safes out roots =
-  let files, program = index_tree roots in
-  let total = ref 0 in
-  List.iter
-    (fun file ->
-      match Ast_scan.parse_file file with
-      | exception _ -> ()
-      | structure ->
-          let annots = Race.annotations_of_source (read_file file) in
-          let result = Race.analyze ~program ~annots ~filename:file structure in
-          List.iter
-            (fun (s : Race.safe) ->
-              incr total;
-              Format.fprintf out "%s:%d:%d: [race-safe] %s@." s.rfile s.rline s.rcol s.rdesc)
-            result.safe)
-    files;
-  Format.fprintf out "%d shared-state site(s) proved safe@." !total
+let refine_sites ~program ~src ~filename structure =
+  let annots = Refine.annotations_of_source src in
+  List.map
+    (fun (s : Refine.safe) -> (s.sfile, s.sline, s.scol, s.sdesc))
+    (Refine.analyze ~program ~annots ~filename structure).safe
+
+let race_sites ~program ~src ~filename structure =
+  let annots = Race.annotations_of_source src in
+  List.map
+    (fun (s : Race.safe) -> (s.rfile, s.rline, s.rcol, s.rdesc))
+    (Race.analyze ~program ~annots ~filename structure).safe
 
 let run ?(out = Format.std_formatter) ?(err = Format.err_formatter) argv =
   let paths = ref [] and selected = ref [] and list_rules = ref false in
@@ -130,10 +96,11 @@ let run ?(out = Format.std_formatter) ?(err = Format.err_formatter) argv =
                 Format.fprintf err "dipp_lint: no such path %s@." missing;
                 2
             | None when !refine_safe ->
-                print_safes out roots;
+                print_safe_listing out roots ~tag:"refine-safe" ~total:"subscript(s)" refine_sites;
                 0
             | None when !race_safe ->
-                print_race_safes out roots;
+                print_safe_listing out roots ~tag:"race-safe" ~total:"shared-state site(s)"
+                  race_sites;
                 0
             | None -> (
                 let findings =

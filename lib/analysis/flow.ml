@@ -1,4 +1,5 @@
-(* The flow-locality rule: an interprocedural taint analysis over the
+(* The DIP-model locality analysis (rules flow-locality and
+   locality-traversal): an interprocedural taint analysis over the
    parsetree that tracks where values inside a decision function came
    from.  The lattice orders provenance by how far it reaches beyond the
    deciding node's legal view:
@@ -9,11 +10,12 @@
    flowed out of a coin/randomness store; [Neighbor_label] flowed out of
    a label store addressed by the node or a bound neighbor; and
    [Graph_global] is outer-scope state that never passed through the
-   node's view.  A finding fires when a [Graph_global] value reaches a
-   container subscript inside a decision function — including the
-   laundering pattern the syntactic locality-index rule concedes
-   (ANALYSIS.md, documented approximations): parking a non-local node id
-   in a local slot and indexing through the slot.
+   node's view.  Two sinks fire inside a decision function: a
+   [Graph_global] value reaching a container subscript (flow-locality) —
+   including a non-local node id parked in a local slot and read back
+   through it — and a qualified reference to the whole-graph
+   enumerations Graph.edges / fold_edges / iter_edges
+   (locality-traversal).
 
    Interprocedural propagation: every let-bound function gets a summary
    (result taint + latent findings); calling a summarized function joins
@@ -27,6 +29,7 @@ module StrMap = Map.Make (String)
 module StrSet = Set.Make (String)
 
 let rule_flow = "flow-locality"
+let rule_traversal = "locality-traversal"
 
 type taint = Local | Own_coin | Neighbor_label | Graph_global
 
@@ -42,7 +45,7 @@ let taint_name = function
   | Graph_global -> "GraphGlobal"
 
 type store = { mutable content : taint }
-type summary = { base : taint; flags : (Location.t * string) list }
+type summary = { base : taint; flags : Report.finding list }
 type binding = Val of taint | Store of store | Fn of summary
 
 type ctx = {
@@ -51,11 +54,32 @@ type ctx = {
   xsums : (string, taint) Hashtbl.t;  (* memoized cross-module bases *)
 }
 
-type emit = loc:Location.t -> string -> unit
+type emit = Report.finding -> unit
 
-let silent : emit = fun ~loc:_ _ -> ()
+let silent : emit = fun _ -> ()
 
 (* ---- name classification --------------------------------------------- *)
+
+let is_decision_name n =
+  String.starts_with ~prefix:"decide" n
+  || String.starts_with ~prefix:"verify" n
+  || String.ends_with ~suffix:"_check" n
+
+(* Global edge enumeration: the whole-graph escape hatches of the Graph
+   API.  Qualified uses only — an unqualified [edges] is a local binding. *)
+let is_global_traversal lid =
+  match Ast_scan.last_two lid with
+  | Some ("Graph", ("edges" | "fold_edges" | "iter_edges")) -> true
+  | Some _ | None -> false
+
+let flag_traversal (emit : emit) ~loc lid =
+  if is_global_traversal lid then
+    emit
+      (Report.finding ~loc ~rule:rule_traversal
+         (Printf.sprintf
+            "global edge traversal `%s` inside a decision function; a node may only inspect its \
+             neighborhood (Graph.neighbors/degree/mem_edge)"
+            (Ast_scan.ident_path lid)))
 
 let word_operators =
   StrSet.of_list [ "mod"; "land"; "lor"; "lxor"; "lsl"; "lsr"; "asr"; "or"; "not" ]
@@ -69,11 +93,6 @@ let is_operator_name x =
 
 let is_pure_free x = is_operator_name x || StrSet.mem x allowed_free
 
-let contains_sub hay needle =
-  let n = String.length hay and m = String.length needle in
-  let rec go i = i + m <= n && (String.sub hay i m = needle || go (i + 1)) in
-  m > 0 && go 0
-
 (* The container firewall: a free identifier used *as a container* (or as
    an argument handed to a summarized call) is assumed to be a legal part
    of the node's view — a label array indexed here, a coin store, a graph
@@ -83,7 +102,8 @@ let contains_sub hay needle =
    non-local values *entering* a subscript. *)
 let firewall_name x =
   let lx = String.lowercase_ascii x in
-  if contains_sub lx "coin" || contains_sub lx "rng" || contains_sub lx "rand" then Own_coin
+  let has sub = Option.is_some (Ast_scan.find_sub lx sub) in
+  if has "coin" || has "rng" || has "rand" then Own_coin
   else Neighbor_label
 
 (* ---- container-access classification ---------------------------------- *)
@@ -136,7 +156,9 @@ let rec eval ctx (emit : emit) env (e : Parsetree.expression) : taint =
       | Some (Store s) -> s.content
       | Some (Fn sum) -> sum.base
       | None -> if is_pure_free x then Local else Graph_global)
-  | Pexp_ident _ -> Local
+  | Pexp_ident { txt; loc } ->
+      flag_traversal emit ~loc txt;
+      Local
   | Pexp_apply (f, args) -> eval_apply ctx emit env e f args
   | Pexp_let (rf, vbs, body) ->
       let env' = eval_let ctx emit env rf vbs in
@@ -271,7 +293,7 @@ and eval_apply ctx emit env e f args =
           | Longident.Lident x -> (
               match resolve env x with
               | Some (Fn sum) ->
-                  List.iter (fun (loc, msg) -> emit ~loc msg) sum.flags;
+                  List.iter emit sum.flags;
                   join sum.base (eval_args ctx emit env args)
               | Some (Val t) -> join t (joins (List.map (fun (_, a) -> eval ctx emit env a) args))
               | Some (Store s) ->
@@ -282,6 +304,7 @@ and eval_apply ctx emit env e f args =
                   List.iter (fun (_, a) -> ignore (eval ctx emit env a)) args;
                   Graph_global)
           | _ ->
+              flag_traversal emit ~loc:f.pexp_loc txt;
               let base = qualified_base ctx txt in
               join base (eval_args ctx emit env args)))
   | _ -> join (eval ctx emit env f) (eval_args ctx emit env args)
@@ -289,12 +312,14 @@ and eval_apply ctx emit env e f args =
 and flag_if_global ctx emit env ~loc i =
   let it = eval ctx emit env i in
   if is_global it then
-    emit ~loc
-      (Printf.sprintf
-         "container subscript is %s-tainted: a value that never passed through the node's own \
-          view (own coins, own labels, neighbors' labels) flows into this index; decisions may \
-          only address label/coin stores by the deciding node or a bound neighbor"
-         (taint_name it))
+    emit
+      (Report.finding ~loc ~rule:rule_flow
+         (Printf.sprintf
+            "container subscript is %s-tainted: a value that never passed through the node's \
+             own view (own coins, own labels, neighbors' labels) flows into this index; \
+             decisions may only address label/coin stores by the deciding node or a bound \
+             neighbor"
+            (taint_name it)))
 
 and store_into env (dst : Parsetree.expression) xt =
   match dst.pexp_desc with
@@ -390,21 +415,13 @@ and tracked_store ctx emit env (vb : Parsetree.value_binding) =
 
 and summarize ctx env ~self params body =
   let flags = ref [] in
-  let collect ~loc msg = flags := (loc, msg) :: !flags in
+  let collect f = flags := f :: !flags in
   let env0 =
     StrMap.add self (Fn { base = Local; flags = [] }) (bind_all params (Val Local) env)
   in
   ignore (walk_lambda ctx silent env0 Local body);
   let base = walk_lambda ctx collect env0 Local body in
-  let dedup =
-    List.sort_uniq
-      (fun (la, _) (lb, _) ->
-        match Int.compare la.Location.loc_start.Lexing.pos_lnum lb.Location.loc_start.Lexing.pos_lnum with
-        | 0 -> Int.compare la.Location.loc_start.Lexing.pos_cnum lb.Location.loc_start.Lexing.pos_cnum
-        | c -> c)
-      !flags
-  in
-  { base; flags = dedup }
+  { base; flags = List.sort_uniq Report.compare !flags }
 
 (* Cross-module: base taint only, capped at Neighbor_label (a foreign
    module's free top-levels are its own state, not this function's outer
@@ -434,7 +451,7 @@ let run_decision ctx findings env ?self params body =
     match self with Some name -> StrMap.add name (Fn { base = Local; flags = [] }) e | None -> e
   in
   ignore (walk_lambda ctx silent env0 Local body);
-  let emit ~loc msg = findings := Report.finding ~loc ~rule:rule_flow msg :: !findings in
+  let emit f = findings := f :: !findings in
   ignore (walk_lambda ctx emit env0 Local body)
 
 let is_all_accept lid =
@@ -486,7 +503,7 @@ and outer_bindings ctx findings env rf vbs =
       match (vb.pvb_pat.ppat_desc, Typed_scan.peel_params vb.pvb_expr) with
       | Ppat_var { txt = name; _ }, Some (params, fbody) ->
           let sum = summarize ctx env_rhs ~self:name params fbody in
-          if Locality.is_decision_name name then
+          if is_decision_name name then
             run_decision ctx findings env_rhs ~self:name params fbody;
           outer_expr ctx findings env_rhs vb.pvb_expr;
           StrMap.add name (Fn sum) acc

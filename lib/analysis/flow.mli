@@ -1,9 +1,12 @@
-(** The [flow-locality] rule: typed information-flow locality proofs for
-    decision functions.
+(** The DIP-model locality analysis (rules [flow-locality] and
+    [locality-traversal]).
 
-    Where {!Locality} audits the *syntax* of each subscript, this module
-    tracks the *provenance* of the values flowing into it, over the
-    lattice
+    In the Kol–Oshman–Saxena model a verifier's decision at node [v] may
+    read only [v]'s own coins and labels and its graph neighbors' labels.
+    Inside every {e decision function} — a binding named [decide*],
+    [verify*] or [*_check], or a literal lambda handed to
+    [Dip.all_accept] — this module tracks the {e provenance} of values
+    over the lattice
 
     {v Local < OwnCoin < NeighborLabel < GraphGlobal v}
 
@@ -11,16 +14,21 @@
     counters); [OwnCoin] — read out of a coin/randomness store;
     [NeighborLabel] — read out of a label store addressed by the node or
     a bound neighbor; [GraphGlobal] — outer-scope state that never
-    passed through the node's legal view.  A finding fires when a
-    [GraphGlobal] value reaches a container subscript inside a decision
-    function (a [decide*]/[verify*]/[*_check] binding, or a literal
-    lambda handed to [Dip.all_accept]).
+    passed through the node's legal view.  Two sinks:
+
+    - [flow-locality]: a [GraphGlobal] value reaches a container
+      subscript ([Array]/[Bytes]/[String] get/set, the [.( )] sugar,
+      [Hashtbl.find]/[find_opt]/[mem]/[replace]/[add]);
+    - [locality-traversal]: a qualified reference to [Graph.edges],
+      [Graph.fold_edges] or [Graph.iter_edges] (under any module prefix
+      ending in [Graph]); neighborhood access must go through the
+      per-node API ([Graph.neighbors], [Graph.degree], ...).
 
     The analysis is interprocedural: let-bound helpers get summaries
     (result taint plus latent findings replayed at call sites), and
     qualified calls resolve through a {!Typed_scan.program} when one is
-    supplied.  In particular it closes the laundering hole the syntactic
-    rule concedes (see ANALYSIS.md, documented approximations):
+    supplied.  So a non-local id laundered through a local slot is still
+    caught:
 
     {[
       let verify v =
@@ -32,14 +40,12 @@
 val rule_flow : string
 (** ["flow-locality"] *)
 
-type taint = Local | Own_coin | Neighbor_label | Graph_global
+val rule_traversal : string
+(** ["locality-traversal"] *)
 
-val join : taint -> taint -> taint
-(** Least upper bound in the provenance lattice. *)
-
-val taint_name : taint -> string
-(** The paper-facing spelling: ["Local"], ["OwnCoin"], ["NeighborLabel"],
-    ["GraphGlobal"]. *)
+val is_decision_name : string -> bool
+(** [decide*], [verify*] or [*_check]: the bindings audited as decision
+    functions (also by {!Refine}'s subscript re-proof). *)
 
 val check : ?program:Typed_scan.program -> Parsetree.structure -> Report.finding list
 (** Runs the analysis over one implementation.  [program] supplies

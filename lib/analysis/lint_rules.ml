@@ -3,16 +3,10 @@ type rule = { id : string; summary : string }
 let rules =
   [
     {
-      id = Locality.rule_traversal;
+      id = Flow.rule_traversal;
       summary =
         "decision functions must not enumerate global graph state (Graph.edges / fold_edges / \
          iter_edges); use the per-node neighbor API";
-    };
-    {
-      id = Locality.rule_index;
-      summary =
-        "array subscripts inside decision functions must be built from locally bound node ids \
-         (the decision node or a bound neighbor), not captured globals";
     };
     {
       id = Flow.rule_flow;
@@ -295,7 +289,7 @@ let ast_findings ?program ~filename src =
         Race.annotation_findings ~filename rannots
         @ Race.check ?program ~annots:rannots ~filename structure
       in
-      Locality.check structure @ Flow.check ?program structure @ budget @ refine @ race
+      Flow.check ?program structure @ budget @ refine @ race
       @ hygiene ~filename structure
   | exception exn -> [ parse_error_finding ~filename exn ]
 
@@ -337,14 +331,8 @@ let lint_source_in ~program ~filename src =
   apply_suppressions ~filename (Ast_scan.suppressions_of_source src)
     (ast_findings ~program ~filename src)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let lint_file ?(check_mli = true) ?program path =
-  let src = read_file path in
+  let src = Ast_scan.read_file path in
   let supp = Ast_scan.suppressions_of_source src in
   let mli =
     if check_mli && Filename.check_suffix path ".ml" && not (Sys.file_exists (path ^ "i")) then
@@ -356,13 +344,6 @@ let lint_file ?(check_mli = true) ?program path =
 let lint_tree root =
   (* One whole-program pass first, so the flow analysis can resolve
      qualified calls across the tree's modules. *)
-  let program = Typed_scan.load_tree root in
-  let rec walk acc path =
-    if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list |> List.sort String.compare
-      |> List.filter (fun name -> name <> "" && name.[0] <> '.' && name <> "_build")
-      |> List.fold_left (fun acc name -> walk acc (Filename.concat path name)) acc
-    else if Filename.check_suffix path ".ml" then List.rev_append (lint_file ~program path) acc
-    else acc
-  in
-  List.rev (walk [] root)
+  let files = Ast_scan.ml_files [ root ] in
+  let program = Typed_scan.load_files files in
+  List.concat_map (fun file -> lint_file ~program file) files

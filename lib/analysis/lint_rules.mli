@@ -1,12 +1,11 @@
 (** The dipp-lint rule set and entry points.
 
     Rules (see ANALYSIS.md for the model-level rationale):
-    - [locality-traversal], [locality-index] — the DIP locality audit
-      ({!Locality});
-    - [flow-locality] — the typed information-flow locality audit
+    - [flow-locality], [locality-traversal] — the DIP locality audit
       ({!Flow}): no GraphGlobal-tainted value may reach a container
       subscript inside a decision function, even when laundered through
-      local slots, helper functions or closures;
+      local slots, helper functions or closures, and no decision function
+      may enumerate the whole graph;
     - [budget] — static round/bit-budget verification ({!Budget}): a
       protocol's extracted [record_prover]/[record_verifier] schedule,
       with sub-protocol runs expanded, must realize exactly the rounds

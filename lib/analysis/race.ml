@@ -54,53 +54,30 @@ type annots = {
   used : (int, unit) Hashtbl.t;
 }
 
-let ann_marker = "dipp-race:"
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z')
-  || (c >= 'A' && c <= 'Z')
-  || (c >= '0' && c <= '9')
-  || c = '_' || c = '\''
-
-let is_mutex_name s = s <> "" && String.for_all (fun c -> is_ident_char c || c = '.') s
-
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
-  go 0
+let is_mutex_name s =
+  s <> "" && String.for_all (fun c -> Ast_scan.is_ident_char c || c = '.') s
 
 let annotations_of_source src =
   let tbl = Hashtbl.create 8 and bad = ref [] in
-  List.iteri
-    (fun i line ->
-      match find_sub line ann_marker with
-      | None -> ()
-      | Some j -> (
-          let rest =
-            String.sub line
-              (j + String.length ann_marker)
-              (String.length line - j - String.length ann_marker)
-          in
-          let rest = match find_sub rest "*)" with Some k -> String.sub rest 0 k | None -> rest in
-          let tokens =
-            String.split_on_char ' ' (String.trim rest) |> List.filter (fun s -> s <> "")
-          in
-          let malformed msg = bad := (i + 1, msg) :: !bad in
-          (* Prose that merely mentions the marker is not an annotation
-             attempt: only engage on a known proof keyword, then insist
-             the whole comment parses. *)
-          match tokens with
-          | [ "domain-local" ] -> Hashtbl.replace tbl (i + 1) Domain_local
-          | [ "merge-only" ] -> Hashtbl.replace tbl (i + 1) Merge_only
-          | [ "guarded-by"; m ] when is_mutex_name m -> Hashtbl.replace tbl (i + 1) (Guarded_by m)
-          | "guarded-by" :: rest ->
-              malformed
-                (Printf.sprintf "`guarded-by` takes exactly one mutex name, got `%s`"
-                   (String.concat " " rest))
-          | ("domain-local" | "merge-only") :: _ :: _ ->
-              malformed "`domain-local` and `merge-only` take no arguments"
-          | _ -> ()))
-    (String.split_on_char '\n' src);
+  List.iter
+    (fun (line, text) ->
+      let tokens = String.split_on_char ' ' (String.trim text) |> List.filter (fun s -> s <> "") in
+      let malformed msg = bad := (line, msg) :: !bad in
+      (* Prose that merely mentions the marker is not an annotation
+         attempt: only engage on a known proof keyword, then insist
+         the whole comment parses. *)
+      match tokens with
+      | [ "domain-local" ] -> Hashtbl.replace tbl line Domain_local
+      | [ "merge-only" ] -> Hashtbl.replace tbl line Merge_only
+      | [ "guarded-by"; m ] when is_mutex_name m -> Hashtbl.replace tbl line (Guarded_by m)
+      | "guarded-by" :: rest ->
+          malformed
+            (Printf.sprintf "`guarded-by` takes exactly one mutex name, got `%s`"
+               (String.concat " " rest))
+      | ("domain-local" | "merge-only") :: _ :: _ ->
+          malformed "`domain-local` and `merge-only` take no arguments"
+      | _ -> ())
+    (Ast_scan.marker_comments ~marker:"dipp-race:" src);
   { tbl; bad = List.rev !bad; used = Hashtbl.create 8 }
 
 let no_annots () = { tbl = Hashtbl.create 1; bad = []; used = Hashtbl.create 1 }
@@ -116,16 +93,6 @@ let annotation_findings ~filename annots =
         msg = "malformed dipp-race annotation: " ^ msg;
       })
     annots.bad
-
-(* An annotation covers the binding on its own line or the line below
-   it, like lint suppressions and dipp-refine bounds. *)
-let ann_at annots ~line =
-  match Hashtbl.find_opt annots.tbl line with
-  | Some a -> Some (line, a)
-  | None -> (
-      match Hashtbl.find_opt annots.tbl (line - 1) with
-      | Some a -> Some (line - 1, a)
-      | None -> None)
 
 (* ---- the shared-state model ------------------------------------------- *)
 
@@ -452,8 +419,10 @@ let lookup_name ctx env n =
 
 let mark_captured env = List.map (fun (n, (i, _)) -> (n, (i, true))) env
 
+(* An annotation covers the binding on its own line or the line below
+   it, like lint suppressions and dipp-refine bounds. *)
 let annotated ctx ~line =
-  match ann_at ctx.annots ~line with
+  match Ast_scan.annotation_at ctx.annots.tbl ~line with
   | Some (aline, a) ->
       Hashtbl.replace ctx.annots.used aline ();
       Some a

@@ -68,9 +68,6 @@ type annots = {
   used : (int, unit) Hashtbl.t;  (** consumed by some binding *)
 }
 
-val ann_marker : string
-(** The comment marker the scanner looks for. *)
-
 val annotations_of_source : string -> annots
 (** Scans raw source text.  A comment engages the scanner only when the
     text after the marker starts with a proof keyword ([guarded-by],
@@ -81,10 +78,6 @@ val no_annots : unit -> annots
 
 val annotation_findings : filename:string -> annots -> Report.finding list
 (** Malformed-annotation findings, under [race-shared-mut]. *)
-
-val ann_at : annots -> line:int -> (int * annot) option
-(** The annotation covering [line] (same line or the line above),
-    with the line it was written on. *)
 
 (** {1 Results} *)
 

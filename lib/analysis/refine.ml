@@ -236,17 +236,12 @@ type ann = { kind : ann_kind; bound : form }
 
 type annots = { tbl : (int, ann) Hashtbl.t; bad : (int * string) list }
 
-let ann_marker = "dipp-refine:"
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' || c = '\''
-
 let parse_term_name s =
   match s with
   | "loglog" -> Some Loglog
   | "log" -> Some Log
   | "logdelta" -> Some Logdelta
-  | _ -> if s <> "" && String.for_all is_ident_char s then Some (Param s) else None
+  | _ -> if s <> "" && String.for_all Ast_scan.is_ident_char s then Some (Param s) else None
 
 let parse_form s =
   let atoms = String.split_on_char '+' s |> List.map String.trim in
@@ -267,56 +262,39 @@ let parse_form s =
           | _ -> None))
     (Some f_zero) atoms
 
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
-  go 0
-
 let annotations_of_source src =
   let tbl = Hashtbl.create 8 and bad = ref [] in
-  List.iteri
-    (fun i line ->
-      match find_sub line ann_marker with
-      | None -> ()
-      | Some j -> (
-          let rest =
-            String.sub line
-              (j + String.length ann_marker)
-              (String.length line - j - String.length ann_marker)
-          in
-          let rest = match find_sub rest "*)" with Some k -> String.sub rest 0 k | None -> rest in
-          let malformed msg = bad := (i + 1, msg) :: !bad in
-          (* Prose that merely mentions the marker (docs, rule summaries)
-             is not an annotation attempt: require a width/value keyword
-             or a <= to engage, then insist the whole thing parses. *)
-          let trimmed = String.trim rest in
-          let starts_kw kw =
-            String.length trimmed >= String.length kw
-            && String.sub trimmed 0 (String.length kw) = kw
-            && (String.length trimmed = String.length kw
-               || not (is_ident_char trimmed.[String.length kw]))
-          in
-          if not (starts_kw "width" || starts_kw "value" || find_sub rest "<=" <> None) then ()
-          else
-          match String.index_opt rest '=' with
-          | Some k when k > 0 && rest.[k - 1] = '<' -> (
-              let kw = String.trim (String.sub rest 0 (k - 1)) in
-              let body = String.sub rest (k + 1) (String.length rest - k - 1) in
-              let kind =
-                match kw with "width" -> Some Width | "value" -> Some Value | _ -> None
-              in
-              match (kind, parse_form body) with
-              | Some kind, Some bound -> Hashtbl.replace tbl (i + 1) { kind; bound }
-              | None, _ ->
-                  malformed
-                    (Printf.sprintf "expected `width <= FORM` or `value <= FORM`, got `%s`" kw)
-              | _, None ->
-                  malformed
-                    (Printf.sprintf
-                       "cannot parse bound `%s` (FORM is a sum of INT, NAME and INT*NAME atoms)"
-                       (String.trim body)))
-          | _ -> malformed "expected `width <= FORM` or `value <= FORM` after the marker"))
-    (String.split_on_char '\n' src);
+  List.iter
+    (fun (line, rest) ->
+      let malformed msg = bad := (line, msg) :: !bad in
+      (* Prose that merely mentions the marker (docs, rule summaries)
+         is not an annotation attempt: require a width/value keyword
+         or a <= to engage, then insist the whole thing parses. *)
+      let trimmed = String.trim rest in
+      let starts_kw kw =
+        String.starts_with ~prefix:kw trimmed
+        && (String.length trimmed = String.length kw
+           || not (Ast_scan.is_ident_char trimmed.[String.length kw]))
+      in
+      if not (starts_kw "width" || starts_kw "value" || Ast_scan.find_sub rest "<=" <> None) then ()
+      else
+        match String.index_opt rest '=' with
+        | Some k when k > 0 && rest.[k - 1] = '<' -> (
+            let kw = String.trim (String.sub rest 0 (k - 1)) in
+            let body = String.sub rest (k + 1) (String.length rest - k - 1) in
+            let kind = match kw with "width" -> Some Width | "value" -> Some Value | _ -> None in
+            match (kind, parse_form body) with
+            | Some kind, Some bound -> Hashtbl.replace tbl line { kind; bound }
+            | None, _ ->
+                malformed
+                  (Printf.sprintf "expected `width <= FORM` or `value <= FORM`, got `%s`" kw)
+            | _, None ->
+                malformed
+                  (Printf.sprintf
+                     "cannot parse bound `%s` (FORM is a sum of INT, NAME and INT*NAME atoms)"
+                     (String.trim body)))
+        | _ -> malformed "expected `width <= FORM` or `value <= FORM` after the marker")
+    (Ast_scan.marker_comments ~marker:"dipp-refine:" src);
   { tbl; bad = List.rev !bad }
 
 let no_annots () = { tbl = Hashtbl.create 1; bad = [] }
@@ -329,10 +307,7 @@ let annotation_findings ~filename annots =
 
 (* An annotation covers the bindings (or call) on its own line or the
    line below it, like lint suppressions. *)
-let ann_at annots ~line =
-  match Hashtbl.find_opt annots.tbl line with
-  | Some a -> Some a
-  | None -> Hashtbl.find_opt annots.tbl (line - 1)
+let ann_at annots ~line = Option.map snd (Ast_scan.annotation_at annots.tbl ~line)
 
 (* ---- abstract values ------------------------------------------------- *)
 
@@ -428,12 +403,6 @@ let add_safe ctx ~(loc : Location.t) desc =
       }
       :: ctx.safes
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let annots_for_file ctx file =
   if String.equal file ctx.filename then ctx.annots
   else
@@ -442,7 +411,7 @@ let annots_for_file ctx file =
     | None ->
         let a =
           if file <> "" && Sys.file_exists file then
-            try annotations_of_source (read_file file) with _ -> no_annots ()
+            try annotations_of_source (Ast_scan.read_file file) with _ -> no_annots ()
           else no_annots ()
         in
         Hashtbl.replace ctx.file_annots file a;
@@ -1579,7 +1548,7 @@ let analyze ?program ?annots ?declared ~filename structure =
      Smap.iter
        (fun name v ->
          match v with
-         | Fval fn when Locality.is_decision_name name ->
+         | Fval fn when Flow.is_decision_name name ->
              let args =
                List.filter_map
                  (function

@@ -7,7 +7,7 @@ type finding = {
   file : string;
   line : int;  (** 1-based *)
   col : int;  (** 0-based, as in compiler messages *)
-  rule : string;  (** rule id, e.g. ["locality-index"] *)
+  rule : string;  (** rule id, e.g. ["flow-locality"] *)
   msg : string;
 }
 

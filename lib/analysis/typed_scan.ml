@@ -29,9 +29,7 @@ let peel_params expr =
   in
   go [] expr
 
-let empty () : program = Hashtbl.create 64
-
-let add_structure ?(file = "") prog ~modname structure =
+let add_structure ~file prog ~modname structure =
   List.iter
     (fun (item : Parsetree.structure_item) ->
       match item.pstr_desc with
@@ -56,25 +54,23 @@ let add_structure ?(file = "") prog ~modname structure =
       | _ -> ())
     structure
 
-let of_structure ?file ~modname structure =
-  let prog = empty () in
-  add_structure ?file prog ~modname structure;
+let of_structure ~modname structure =
+  let prog = Hashtbl.create 64 in
+  add_structure ~file:"" prog ~modname structure;
   prog
 
 let lookup prog ~modname ~name = Hashtbl.find_opt prog (modname ^ "." ^ name)
 
-let load_tree root =
-  let prog = empty () in
-  let rec walk path =
-    if Sys.is_directory path then
-      Sys.readdir path |> Array.to_list |> List.sort String.compare
-      |> List.iter (fun name ->
-             if name <> "" && name.[0] <> '.' && name <> "_build" then
-               walk (Filename.concat path name))
-    else if Filename.check_suffix path ".ml" then
+(* Files that fail to parse are skipped: the parse-error rule reports
+   them separately. *)
+let load_files files =
+  let prog = Hashtbl.create 64 in
+  List.iter
+    (fun path ->
       match Ast_scan.parse_file path with
       | structure -> add_structure ~file:path prog ~modname:(module_name path) structure
-      | exception _ -> ()
-  in
-  if Sys.file_exists root then walk root;
+      | exception _ -> ())
+    files;
   prog
+
+let load_tree root = load_files (if Sys.file_exists root then Ast_scan.ml_files [ root ] else [])

@@ -29,17 +29,16 @@ val peel_params : Parsetree.expression -> (string list * Parsetree.expression) o
 (** Parameter chain of a function binding; [None] for a plain value.
     A [function] keyword body is returned unpeeled as the body. *)
 
-val empty : unit -> program
-
-val add_structure : ?file:string -> program -> modname:string -> Parsetree.structure -> unit
-(** Indexes every top-level [Ppat_var] function binding of the structure.
-    [file] (default [""]) is recorded on each entry. *)
-
-val of_structure : ?file:string -> modname:string -> Parsetree.structure -> program
+val of_structure : modname:string -> Parsetree.structure -> program
+(** Indexes every top-level [Ppat_var] function binding of the structure,
+    with [file = ""]. *)
 
 val lookup : program -> modname:string -> name:string -> entry option
 
+val load_files : string list -> program
+(** Parses and indexes the given [.ml] files; files that fail to parse are
+    skipped — the [parse-error] rule reports them separately. *)
+
 val load_tree : string -> program
-(** Parses and indexes every [.ml] under a directory root (skipping
-    dotfiles and [_build]); files that fail to parse are skipped — the
-    [parse-error] rule reports them separately. *)
+(** [load_files] over {!Ast_scan.ml_files} of a root (empty if the root
+    does not exist). *)

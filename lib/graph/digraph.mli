@@ -2,7 +2,11 @@
 
     The LR-sorting task (paper §2) takes a directed graph whose yes-instances
     are exactly the DAGs whose unique topological order is the given
-    Hamiltonian path.  A directed edge [(u, v)] is the claim "u precedes v". *)
+    Hamiltonian path.  A directed edge [(u, v)] is the claim "u precedes v".
+
+    No shipped code path builds one: the module is the independent oracle
+    for [Lr_sorting.is_yes_instance], which test_io checks against
+    {!topological_sort} on generated yes- and no-instances. *)
 
 type t
 

@@ -132,15 +132,3 @@ let to_dot ?(name = "g") ?(highlight = []) g =
     g;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let rotation_to_dot rot =
-  let g = rot.Rotation.graph in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "graph embedding {\n  node [shape=circle];\n";
-  for v = 0 to Graph.n g - 1 do
-    let order = String.concat "," (List.map string_of_int (Array.to_list rot.Rotation.rot.(v))) in
-    Buffer.add_string buf (Printf.sprintf "  %d [xlabel=\"(%s)\"];\n" v order)
-  done;
-  Graph.iter_edges (fun (u, v) -> Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" u v)) g;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

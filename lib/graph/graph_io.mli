@@ -25,5 +25,3 @@ val to_dot : ?name:string -> ?highlight:Graph.edge list -> Graph.t -> string
 (** Undirected DOT; [highlight] edges are drawn bold red (used for
     counterexample edges, e.g. the Theorem 1.8 fooling arc). *)
 
-val rotation_to_dot : Rotation.t -> string
-(** DOT with rotation orders recorded as edge port annotations. *)

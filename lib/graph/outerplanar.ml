@@ -215,9 +215,6 @@ let path_witness g =
     end
   end
 
-let is_path_outerplanar g =
-  match path_witness g with Some p -> check_path_witness g p | None -> false
-
 (* Maximal outerplanar completion.  Cut the unique Hamiltonian cycle at
    the edge (order[n-1], order[0]): the chords become a properly nested
    interval family.  Each interior face corresponds to an interval (l, r)

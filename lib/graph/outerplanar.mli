@@ -25,10 +25,6 @@ val path_witness : Graph.t -> int list option
     cycle-adjacent cut vertices).  The result always passes
     {!check_path_witness}; [None] means no witness was found. *)
 
-val is_path_outerplanar : Graph.t -> bool
-(** [path_witness] + exact check (complete on the families produced by the
-    generators; see DESIGN.md). *)
-
 val triangulate : Graph.t -> Graph.t option
 (** Maximal-outerplanar completion of a biconnected outerplanar graph: fan
     chords are added inside every interior face until every inner face is a

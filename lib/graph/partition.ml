@@ -75,7 +75,3 @@ let make ?(seed = 0) ~blocks g =
   let cut = ref 0 in
   Graph.iter_edges (fun (u, v) -> if block.(u) <> block.(v) then incr cut) g;
   { nblocks = k; block; blocks = blocks_arr; pos; cut_edges = !cut }
-
-let cut_fraction t g =
-  let m = Graph.m g in
-  if m = 0 then 0. else float_of_int t.cut_edges /. float_of_int m

@@ -28,5 +28,3 @@ val make : ?seed:int -> blocks:int -> Graph.t -> t
 (** [blocks] is clamped to [1 .. max 1 n]; [seed] defaults to [0].
     Raises [Invalid_argument] if [blocks < 1]. *)
 
-val cut_fraction : t -> Graph.t -> float
-(** [cut_edges / m]; [0.] on an edgeless graph. *)

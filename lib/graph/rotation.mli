@@ -37,7 +37,9 @@ val face_count : t -> int
 
 val euler_genus : t -> int
 (** [2 - c - n + m - f + c] rearranged: the Euler genus [2c - (n - m + f)
-    + ... ]; 0 iff the embedding is planar (spherical). *)
+    + ... ]; 0 iff the embedding is planar (spherical).  Besides
+    {!is_planar_embedding}, [examples/embedding_audit.ml] prints it for an
+    honest and a corrupted rotation. *)
 
 val is_planar_embedding : t -> bool
 (** True iff the rotation system embeds the graph in the plane, i.e. Euler

@@ -423,7 +423,7 @@ let execute_partitioned ?(config = default_config) ?(mode = Strict) ~shards ~job
        node's own store, local by construction but opaque to the analyzer
        behind the slot arithmetic *)
     let received sl r =
-      sh.got.((sl * nrounds) + r) (* dipp-lint: allow locality-index flow-locality *)
+      sh.got.((sl * nrounds) + r) (* dipp-lint: allow flow-locality *)
     in
     let heard sl =
       let rec from r = r >= nrounds || (Option.is_some (received sl r) && from (r + 1)) in

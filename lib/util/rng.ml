@@ -31,16 +31,17 @@ let split_string t label =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
+(* Rejection sampling over the low 62 bits to avoid modulo bias.  [draw]
+   is top-level so that a call allocates no closure over [t] and [bound]. *)
+let mask = 0x3FFF_FFFF_FFFF_FFFF
+
+let rec draw t bound limit =
+  let v = Int64.to_int (bits64 t) land mask in
+  if v >= limit then draw t bound limit else v mod bound
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int";
-  (* Rejection sampling over the low 62 bits to avoid modulo bias. *)
-  let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec draw () =
-    let v = Int64.to_int (bits64 t) land mask in
-    let limit = mask - (mask mod bound) in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  draw t bound (mask - (mask mod bound))
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

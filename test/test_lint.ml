@@ -29,6 +29,9 @@ let test_locality_traversal () =
     "let consistency_check v = List.length (Graph.edges g) + v";
   check_fires "iter_edges in decide" "locality-traversal"
     "let decide v = Graph.iter_edges (fun _ -> ()) g; v";
+  (* a literal lambda handed to Dip.all_accept is a decision too *)
+  check_fires "fold_edges in an all_accept lambda" "locality-traversal"
+    "let run g = Dip.all_accept ~n (fun v -> Graph.fold_edges (fun _ a -> a) g 0 = v)";
   (* the sanctioned neighbor API is fine, and non-decision functions may
      traverse globally *)
   check_clean "neighbors in verify"
@@ -37,11 +40,11 @@ let test_locality_traversal () =
     "let count_all g = Graph.fold_edges (fun _ acc -> acc + 1) g 0"
 
 let test_locality_index () =
-  check_fires "captured global node id" "locality-index"
+  check_fires "captured global node id" "flow-locality"
     "let verify v = labels.(leftmost_node) = labels.(v)";
-  check_fires "captured id in arithmetic" "locality-index"
+  check_fires "captured id in arithmetic" "flow-locality"
     "let decide v = coins.(root + 1) + v";
-  check_fires "outer function computes the index" "locality-index"
+  check_fires "outer function computes the index" "flow-locality"
     "let verify v = labels.(pick ()) = labels.(v)";
   (* ...but indices built from parameters, bound neighbors, nested
      sanctioned reads, constants and operators are local *)
@@ -55,30 +58,24 @@ let test_locality_index () =
     "let verify v = labels.(parent.(v)) - labels.(v)"
 
 let test_locality_containers () =
-  check_fires "Bytes.get with captured index" "locality-index"
+  check_fires "Bytes.get with captured index" "flow-locality"
     "let verify v = Bytes.get buf global_pos";
-  check_fires "Array.unsafe_get with captured index" "locality-index"
+  check_fires "Array.unsafe_get with captured index" "flow-locality"
     "let verify v = Array.unsafe_get labels hub = v";
-  check_fires "Hashtbl.find-backed label store" "locality-index"
+  check_fires "Hashtbl.find-backed label store" "flow-locality"
     "let decide v = Hashtbl.find tbl root_id + v";
   check_clean "Hashtbl keyed by the node" "let verify v = Hashtbl.mem tbl v"
 
 (* ---- typed information-flow (flow-locality) --------------------------- *)
 
 let test_flow_locality () =
-  (* The laundering hole the syntactic rule concedes: a non-local node id
-     parked in a local slot.  The flow rule must catch it AND the
-     syntactic rule must (still) miss it — that asymmetry is the point. *)
-  let launder =
+  (* A non-local node id parked in a local slot: a check of the
+     subscript's syntax alone would pass it, its provenance does not. *)
+  check_fires "array-slot laundering" "flow-locality"
     "let verify v =\n\
     \  let slot = Array.make 1 0 in\n\
     \  slot.(0) <- leftmost_node;\n\
-    \  labels.(slot.(0)) = labels.(v)"
-  in
-  check_fires "array-slot laundering" "flow-locality" launder;
-  Alcotest.(check bool)
-    "syntactic locality-index provably misses the laundering" false
-    (List.mem "locality-index" (rules_of (lint launder)));
+    \  labels.(slot.(0)) = labels.(v)";
   check_fires "ref laundering" "flow-locality"
     "let decide v =\n  let r = ref 0 in\n  r := hidden;\n  labels.(!r) + v";
   check_fires "laundering through a local helper" "flow-locality"
@@ -229,7 +226,14 @@ let test_suppressions () =
   check_fires "allow of other rule keeps finding" "partial"
     "let rest l = List.tl l (* dipp-lint: allow rng *)";
   check_fires "stale line does not cover" "partial"
-    "(* dipp-lint: allow partial *)\n\nlet rest l = List.tl l"
+    "(* dipp-lint: allow partial *)\n\nlet rest l = List.tl l";
+  (* the allow list ends where the comment does: code after it on the
+     same line is neither read as rule ids nor able to extend the list *)
+  Alcotest.(check (list string))
+    "trailing code is not an allow list" [ "obj-magic" ]
+    (rules_of (lint "let x = 0 (* dipp-lint: allow poly-compare *) let all l = Obj.magic l"));
+  check_clean "allow before the call on its line"
+    "let rest l = (* dipp-lint: allow partial *) List.tl l"
 
 let test_suppression_validation () =
   (* a typo'd rule id suppresses nothing — that is its own finding *)

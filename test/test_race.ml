@@ -313,29 +313,26 @@ let test_mutation_fold_into_closure () =
   Alcotest.(check bool) "in-closure accumulation is a finding" true
     (has_rule Race.rule_shared (check mutated))
 
-(* ---- the --race-safe golden listing ------------------------------------ *)
+(* ---- the proved-safe golden listings ----------------------------------- *)
 
-let test_race_safe_golden () =
-  (* the committed listing is the proof ledger: every shared-state site
-     in lib with the proof CI trusts; a site disappearing or a proof
-     weakening is a diff here before it is a pipeline failure *)
+(* The committed listings are proof ledgers: every shared-state site in
+   lib with the proof CI trusts (--race-safe), and every subscript the
+   refinement pass proved in bounds (--refine-safe); a site disappearing
+   or a proof weakening is a diff here before it is a pipeline failure. *)
+let test_safe_golden flag name () =
   match locate_lib () with
   | None -> Alcotest.fail "cannot locate lib/ from the test working directory"
   | Some dir -> (
       let golden =
         List.find_opt Sys.file_exists
-          [
-            "golden/race_safe.golden.txt";
-            "test/golden/race_safe.golden.txt";
-            "../test/golden/race_safe.golden.txt";
-          ]
+          [ "golden/" ^ name; "test/golden/" ^ name; "../test/golden/" ^ name ]
       in
       match golden with
-      | None -> Alcotest.fail "race_safe.golden.txt not found"
+      | None -> Alcotest.fail (name ^ " not found")
       | Some gfile ->
           let buf = Buffer.create 4096 in
           let out = Format.formatter_of_buffer buf in
-          let code = Cli.run ~out ~err:out [| "dipp_lint"; "--race-safe"; dir |] in
+          let code = Cli.run ~out ~err:out [| "dipp_lint"; flag; dir |] in
           Format.pp_print_flush out ();
           Alcotest.(check int) "exit 0" 0 code;
           let prefix = dir ^ "/" in
@@ -440,7 +437,12 @@ let () =
           Alcotest.test_case "fold moved into closure" `Quick test_mutation_fold_into_closure;
         ] );
       ( "golden",
-        [ Alcotest.test_case "--race-safe matches committed listing" `Quick test_race_safe_golden ]
+        [
+          Alcotest.test_case "--race-safe matches committed listing" `Quick
+            (test_safe_golden "--race-safe" "race_safe.golden.txt");
+          Alcotest.test_case "--refine-safe matches committed listing" `Quick
+            (test_safe_golden "--refine-safe" "refine_safe.golden.txt");
+        ]
       );
       ( "stress",
         [

@@ -270,6 +270,48 @@ let test_rng_shuffle_permutation () =
   Array.sort Int.compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted
 
+(* [Rng.int] as it was written with a per-call closure: the reference
+   stream the closure-free version must reproduce draw for draw. *)
+let reference_int t bound =
+  let mask = 0x3FFF_FFFF_FFFF_FFFF in
+  let rec draw () =
+    let v = Int64.to_int (Rng.bits64 t) land mask in
+    let limit = mask - (mask mod bound) in
+    if v >= limit then draw () else v mod bound
+  in
+  draw ()
+
+let prop_int_matches_reference =
+  QCheck.Test.make ~name:"rng: int draws the reference stream" ~count:200
+    QCheck.(triple (int_bound 10000) (int_range 1 977) (int_range 1 200))
+    (fun (seed, bound, draws) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      List.for_all
+        (fun _ -> Rng.int a bound = reference_int b bound)
+        (List.init draws Fun.id))
+
+(* Words per [Rng.int] draw, counted as test_gen counts: minor + major -
+   promoted, read after a minor collection.  What is left is the boxed
+   [int64] state [bits64] stores; [int] itself must add nothing. *)
+let test_rng_int_alloc () =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let rng = Rng.create 5 and draws = 100_000 in
+  (* what reading the counters allocates itself *)
+  let overhead =
+    let w0 = words () in
+    words () -. w0
+  in
+  let before = words () in
+  for i = 1 to draws do
+    ignore (Sys.opaque_identity (Rng.int rng (1 + (i mod 977))))
+  done;
+  let per_draw = (words () -. before -. overhead) /. float_of_int draws in
+  if per_draw > 6. then Alcotest.failf "Rng.int allocates %.4f words per draw (> 6)" per_draw
+
 (* ---- split_string domain separation (rng.mli invariant) ------------- *)
 
 let streams_differ a b =
@@ -451,6 +493,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "uniform-ish" `Quick test_rng_uniformish;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
+          qtest prop_int_matches_reference;
+          Alcotest.test_case "int allocates no closure" `Quick test_rng_int_alloc;
           qtest prop_split_string_empty_vs_any;
           qtest prop_split_string_prefix_keys;
           qtest prop_split_string_stable;
