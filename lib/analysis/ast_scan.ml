@@ -74,8 +74,8 @@ let marker_comments ~marker src =
              [ (i + 1, rest) ])
        (String.split_on_char '\n' src))
 
-let annotation_at ?(where = fun _ -> true) tbl ~line =
-  let at l = match Hashtbl.find_opt tbl l with Some a when where a -> Some (l, a) | _ -> None in
+let annotation_at tbl ~line =
+  let at l = Option.map (fun a -> (l, a)) (Hashtbl.find_opt tbl l) in
   match at line with Some _ as hit -> hit | None -> at (line - 1)
 
 (* ---- suppressions ---------------------------------------------------- *)
@@ -108,8 +108,12 @@ let suppressions_of_source src : suppressions =
   tbl
 
 let suppressed tbl ~line ~rule =
-  Option.is_some
-    (annotation_at tbl ~line ~where:(fun rules -> List.mem rule rules || List.mem "all" rules))
+  let covers l =
+    match Hashtbl.find_opt tbl l with
+    | Some rules -> List.mem rule rules || List.mem "all" rules
+    | None -> false
+  in
+  covers line || covers (line - 1)
 
 let suppression_entries tbl =
   Hashtbl.fold (fun line rules acc -> (line, rules) :: acc) tbl []

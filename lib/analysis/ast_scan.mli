@@ -33,8 +33,8 @@ val pattern_vars : Parsetree.pattern -> string list
     The three analyzers read trusted comments of the shape
     [(* <marker> <text> *)]: [dipp-lint:] suppressions here,
     [dipp-race:] and [dipp-refine:] annotations in {!Race} and {!Refine}.
-    Each keeps its own grammar; the scan and the coverage rule are
-    shared. *)
+    Each keeps its own grammar; the scan is shared.  Every kind covers
+    its own line and the line below. *)
 
 val find_sub : string -> string -> int option
 (** Index of the first occurrence of the second string in the first. *)
@@ -48,11 +48,10 @@ val marker_comments : marker:string -> string -> (int * string) list
     comment closes (so code after the comment is never read as part of
     it).  In line order. *)
 
-val annotation_at :
-  ?where:('a -> bool) -> (int, 'a) Hashtbl.t -> line:int -> (int * 'a) option
-(** The entry covering [line]: the one written on [line] itself, else the
-    one on the line above, with the line it was written on.  [where]
-    (default: any) skips entries that do not apply. *)
+val annotation_at : (int, 'a) Hashtbl.t -> line:int -> (int * 'a) option
+(** The [dipp-race:]/[dipp-refine:] entry covering [line]: the one written
+    on [line] itself, else the one on the line above, with the line it was
+    written on. *)
 
 (** {2 Suppressions}
 

@@ -154,7 +154,10 @@ let rec eval ctx (emit : emit) env (e : Parsetree.expression) : taint =
       match resolve env x with
       | Some (Val t) -> t
       | Some (Store s) -> s.content
-      | Some (Fn sum) -> sum.base
+      | Some (Fn sum) ->
+          (* a helper that escapes as a value may be called anywhere *)
+          List.iter emit sum.flags;
+          sum.base
       | None -> if is_pure_free x then Local else Graph_global)
   | Pexp_ident { txt; loc } ->
       flag_traversal emit ~loc txt;
@@ -240,7 +243,9 @@ and element_taint ctx emit env (c : Parsetree.expression) =
       | Some (Val t) -> if is_global t then Graph_global else join t Neighbor_label
       | Some (Fn sum) -> join sum.base Neighbor_label
       | None -> firewall_name x)
-  | Pexp_field _ -> Neighbor_label
+  | Pexp_field (b, _) ->
+      ignore (eval ctx emit env b);
+      Neighbor_label
   | _ ->
       let t = eval ctx emit env c in
       if is_global t then Graph_global else join t Neighbor_label

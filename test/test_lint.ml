@@ -32,6 +32,11 @@ let test_locality_traversal () =
   (* a literal lambda handed to Dip.all_accept is a decision too *)
   check_fires "fold_edges in an all_accept lambda" "locality-traversal"
     "let run g = Dip.all_accept ~n (fun v -> Graph.fold_edges (fun _ a -> a) g 0 = v)";
+  (* a helper that escapes as a value may be called anywhere *)
+  check_fires "fold_edges in a helper passed to List.iter" "locality-traversal"
+    "let verify v =\n  let count u = Graph.fold_edges f g u in\n  List.iter count xs;\n  v";
+  check_fires "fold_edges under a record field read" "locality-traversal"
+    "let verify v = (Graph.fold_edges f g st).lbl.(v)";
   (* the sanctioned neighbor API is fine, and non-decision functions may
      traverse globally *)
   check_clean "neighbors in verify"
@@ -80,6 +85,8 @@ let test_flow_locality () =
     "let decide v =\n  let r = ref 0 in\n  r := hidden;\n  labels.(!r) + v";
   check_fires "laundering through a local helper" "flow-locality"
     "let verify v =\n  let pick () = leftmost_node in\n  labels.(pick ()) = labels.(v)";
+  check_fires "captured id in a helper passed to List.map" "flow-locality"
+    "let verify v =\n  let get u = labels.(hub) + u in\n  List.map get (Graph.neighbors g v)";
   check_clean "neighbor-derived indices stay clean"
     "let verify v = Array.for_all (fun u -> labels.(u) <= labels.(v)) (Graph.neighbors g v)";
   check_clean "local arithmetic stays clean"
