@@ -83,7 +83,7 @@ val nonplanar_k33 : n:int -> int -> Graph.t
     obstruction). *)
 
 val embedding : Graph.t -> Rotation.t option
-(** Valid rotation system via the DMP embedder. *)
+(** Valid rotation system via the left-right embedder. *)
 
 val corrupted_embedding : Graph.t -> int -> Rotation.t option
 (** A rotation system of nonzero genus, obtained by perturbing a valid

@@ -1,306 +1,245 @@
-module Int_set = Set.Make (Int)
+(* The left-right planarity test (de Fraysseix–Rosenstiehl's criterion, in
+   Brandes' linear-time formulation): orient the graph by a DFS, test the
+   left-right constraints of the back edges with a stack of conflict pairs,
+   then read the embedding off the sides the test assigned.
 
-(* ------------------------------------------------------------------ *)
-(* DMP on a biconnected graph with >= 3 nodes.                         *)
-(* ------------------------------------------------------------------ *)
-
-type face = { verts : int array; vset : Int_set.t }
-
-let mk_face verts = { verts; vset = Array.fold_left (fun s v -> Int_set.add v s) Int_set.empty verts }
-
-let find_cycle g =
-  (* DFS until a back edge closes a cycle; biconnected with n >= 3 always
-     has one. *)
-  let n = Graph.n g in
-  let parent = Array.make n (-1) in
-  let state = Array.make n 0 in
-  let exception Found of int list in
-  try
-    let rec dfs v =
-      state.(v) <- 1;
-      Array.iter
-        (fun w ->
-          if state.(w) = 0 then begin
-            parent.(w) <- v;
-            dfs w
-          end
-          else if state.(w) = 1 && w <> parent.(v) then begin
-            (* cycle w .. v *)
-            let rec climb u acc = if u = w then u :: acc else climb parent.(u) (u :: acc) in
-            raise (Found (climb v []))
-          end)
-        (Graph.neighbors g v);
-      state.(v) <- 2
-    in
-    dfs 0;
-    invalid_arg "Planarity.find_cycle: acyclic biconnected graph"
-  with Found c -> c
-
-type fragment =
-  | Chord of int * int
-  | Comp of { nodes : int list; attachments : int list }
-
-let fragments g embedded_vertex embedded_edge =
-  let n = Graph.n g in
-  let frags = ref [] in
-  (* Chords between embedded vertices. *)
-  Graph.iter_edges
-    (fun (u, v) ->
-      if embedded_vertex.(u) && embedded_vertex.(v) && not (embedded_edge u v) then
-        frags := Chord (u, v) :: !frags)
-    g;
-  (* Components of G minus embedded vertices. *)
-  let comp = Array.make n (-1) in
-  let next = ref 0 in
-  for s = 0 to n - 1 do
-    if (not embedded_vertex.(s)) && comp.(s) = -1 then begin
-      let id = !next in
-      incr next;
-      let nodes = ref [] in
-      let attach = ref Int_set.empty in
-      let queue = Queue.create () in
-      comp.(s) <- id;
-      Queue.add s queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.pop queue in
-        nodes := v :: !nodes;
-        Array.iter
-          (fun w ->
-            if embedded_vertex.(w) then attach := Int_set.add w !attach
-            else if comp.(w) = -1 then begin
-              comp.(w) <- id;
-              Queue.add w queue
-            end)
-          (Graph.neighbors g v)
-      done;
-      frags := Comp { nodes = !nodes; attachments = Int_set.elements !attach } :: !frags
-    end
-  done;
-  !frags
-
-let fragment_attachments = function
-  | Chord (u, v) -> [ u; v ]
-  | Comp { attachments; _ } -> attachments
-
-(* Path through the fragment between two attachments, interior inside the
-   fragment. *)
-let fragment_path g fragment =
-  match fragment with
-  | Chord (u, v) -> [ u; v ]
-  | Comp { nodes; attachments } -> (
-      match attachments with
-      | a :: b :: _ ->
-          let allowed = List.fold_left (fun s v -> Int_set.add v s) Int_set.empty nodes in
-          let n = Graph.n g in
-          let prev = Array.make n (-2) in
-          let queue = Queue.create () in
-          prev.(a) <- -1;
-          (* First hop must enter the fragment. *)
-          Array.iter
-            (fun w ->
-              if Int_set.mem w allowed && prev.(w) = -2 then begin
-                prev.(w) <- a;
-                Queue.add w queue
-              end)
-            (Graph.neighbors g a);
-          let target = ref (-1) in
-          while !target = -1 && not (Queue.is_empty queue) do
-            let v = Queue.pop queue in
-            if Graph.mem_edge g v b then target := v
-            else
-              Array.iter
-                (fun w ->
-                  if Int_set.mem w allowed && prev.(w) = -2 then begin
-                    prev.(w) <- v;
-                    Queue.add w queue
-                  end)
-                (Graph.neighbors g v)
-          done;
-          if !target = -1 then invalid_arg "Planarity.fragment_path: no path (graph not biconnected?)";
-          let rec build v acc = if v = -1 then acc else build prev.(v) (v :: acc) in
-          build !target [ b ]
-      | _ -> invalid_arg "Planarity.fragment_path: fragment with < 2 attachments")
-
-let admissible faces frag =
-  let att = fragment_attachments frag in
-  List.filter (fun f -> List.for_all (fun v -> Int_set.mem v f.vset) att) faces
-
-(* Split face [f] by embedding [path] (endpoints on the face). *)
-let split_face f path =
-  let verts = f.verts in
-  let r = Array.length verts in
-  let a = List.hd path in
-  let b = List.nth path (List.length path - 1) in
-  let idx x =
-    let rec go i = if i >= r then invalid_arg "split_face: endpoint not on face" else if verts.(i) = x then i else go (i + 1) in
-    go 0
-  in
-  let ia = idx a and ib = idx b in
-  let interior =
-    match path with
-    | [] | [ _ ] -> []
-    | _ :: tl -> ( match List.rev tl with [] -> [] | _ :: rev_mid -> List.rev rev_mid)
-  in
-  (* Walk a -> ... -> b along the face. *)
-  let seg_ab =
-    let len = ((ib - ia + r) mod r) + 1 in
-    List.init len (fun i -> verts.((ia + i) mod r))
-  in
-  let seg_ba =
-    let len = ((ia - ib + r) mod r) + 1 in
-    List.init len (fun i -> verts.((ib + i) mod r))
-  in
-  (* f1: a ..face.. b, then path interior reversed (b -> a direction).
-     f2: b ..face.. a, then path interior forward (a -> b direction).
-     Both walks keep the original orientation on the face segment. *)
-  let f1 = Array.of_list (List.filteri (fun i _ -> i < List.length seg_ab - 0) seg_ab @ List.rev interior) in
-  let f2 = Array.of_list (seg_ba @ interior) in
-  (* Drop the duplicated closing vertex: seg_ab ends at b and the cycle
-     closes back to a after the interior, so the arrays above are already
-     proper vertex cycles except that seg includes both a and b. *)
-  (mk_face f1, mk_face f2)
-
-let embed_biconnected g =
-  let n = Graph.n g in
-  let m = Graph.m g in
-  if n >= 3 && m > (3 * n) - 6 then None
-  else begin
-    let cycle = find_cycle g in
-    let cyc = Array.of_list cycle in
-    let embedded_vertex = Array.make n false in
-    let module Edge_tbl = Hashtbl in
-    let emb_edges = Edge_tbl.create (2 * m) in
-    let add_edge u v = Edge_tbl.replace emb_edges (Graph.normalize_edge u v) () in
-    let has_edge u v = Edge_tbl.mem emb_edges (Graph.normalize_edge u v) in
-    Array.iter (fun v -> embedded_vertex.(v) <- true) cyc;
-    let k = Array.length cyc in
-    for i = 0 to k - 1 do
-      add_edge cyc.(i) cyc.((i + 1) mod k)
-    done;
-    let faces = ref [ mk_face cyc; mk_face (Array.init k (fun i -> cyc.(k - 1 - i))) ] in
-    let edges_left = ref (m - k) in
-    let ok = ref true in
-    while !ok && !edges_left > 0 do
-      let frags = fragments g embedded_vertex has_edge in
-      (* Pick a fragment with exactly one admissible face if any; otherwise
-         any fragment; zero admissible faces anywhere => nonplanar. *)
-      let scored = List.map (fun fr -> (fr, admissible !faces fr)) frags in
-      if List.exists (fun (_, adm) -> List.is_empty adm) scored then ok := false
-      else begin
-        let fr, adm =
-          match List.find_opt (fun (_, adm) -> List.length adm = 1) scored with
-          | Some x -> x
-          | None -> List.hd scored
-        in
-        let face = List.hd adm in
-        let path = fragment_path g fr in
-        let f1, f2 = split_face face path in
-        faces := f1 :: f2 :: List.filter (fun f -> f != face) !faces;
-        let rec mark = function
-          | u :: (v :: _ as rest) ->
-              embedded_vertex.(u) <- true;
-              embedded_vertex.(v) <- true;
-              if not (has_edge u v) then begin
-                add_edge u v;
-                decr edges_left
-              end;
-              mark rest
-          | _ -> ()
-        in
-        mark path
-      end
-    done;
-    if not !ok then None
-    else begin
-      (* Reconstruct the rotation system from the face walks: in the face
-         tracing convention of {!Rotation.faces}, the dart after (u, v) is
-         (v, next_around v u); our face walks therefore define
-         next_around v u = w for consecutive darts (u,v),(v,w). *)
-      let succ = Array.init n (fun _ -> Hashtbl.create 4) in
-      List.iter
-        (fun f ->
-          let verts = f.verts in
-          let r = Array.length verts in
-          for i = 0 to r - 1 do
-            let u = verts.(i) and v = verts.((i + 1) mod r) and w = verts.((i + 2) mod r) in
-            Hashtbl.replace succ.(v) u w
-          done)
-        !faces;
-      let rot =
-        Array.init n (fun v ->
-            let nbrs = Graph.neighbors g v in
-            let deg = Array.length nbrs in
-            let out = Array.make deg 0 in
-            if deg > 0 then begin
-              out.(0) <- nbrs.(0);
-              for i = 1 to deg - 1 do
-                out.(i) <- Hashtbl.find succ.(v) out.(i - 1)
-              done
-            end;
-            out)
-      in
-      Some (Rotation.create g rot)
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* General graphs: per component, per block, then merge.               *)
-(* ------------------------------------------------------------------ *)
-
-let embed_connected g =
-  let n = Graph.n g in
-  if n = 0 then Some (Rotation.default g)
-  else if Graph.m g = 0 then Some (Rotation.default g)
-  else begin
-    let bc = Biconnectivity.compute g in
-    let rotations = Array.init n (fun _ -> []) in
-    let failed = ref false in
-    Array.iter
-      (fun es ->
-        if not !failed then begin
-          let module S = Set.Make (Int) in
-          let nodes = S.elements (List.fold_left (fun s (u, v) -> S.add u (S.add v s)) S.empty es) in
-          match nodes with
-          | [] | [ _ ] -> ()
-          | [ u; v ] ->
-              rotations.(u) <- [ v ] :: rotations.(u);
-              rotations.(v) <- [ u ] :: rotations.(v)
-          | _ ->
-              let sub, back = Graph.induced g nodes in
-              (match embed_biconnected sub with
-              | None -> failed := true
-              | Some rot ->
-                  Array.iteri
-                    (fun local orig ->
-                      let named = Array.to_list (Array.map (fun w -> back.(w)) rot.Rotation.rot.(local)) in
-                      rotations.(orig) <- named :: rotations.(orig))
-                    back)
-        end)
-      bc.Biconnectivity.component_edges;
-    if !failed then None
-    else
-      let rot = Array.init n (fun v -> Array.of_list (List.concat rotations.(v))) in
-      Some (Rotation.create g rot)
-  end
+   Darts: node v owns the darts [off.(v) .. off.(v + 1) - 1], dart d runs to
+   [tgt.(d)], its reverse is [twin.(d)].  An edge is oriented by marking one
+   of its darts [out]; every per-edge quantity below is indexed by that dart,
+   and -1 stands for "no edge". *)
 
 let embed g =
-  let n = Graph.n g in
-  if n = 0 then Some (Rotation.default g)
+  let n = Graph.n g and m = Graph.m g in
+  if n >= 3 && m > (3 * n) - 6 then None
   else begin
-    let comp, k = Traversal.components g in
-    let rot = Array.init n (fun _ -> [||]) in
-    let failed = ref false in
-    for c = 0 to k - 1 do
-      if not !failed then begin
-        let nodes = List.filter (fun v -> comp.(v) = c) (List.init n Fun.id) in
-        let sub, back = Graph.induced g nodes in
-        match embed_connected sub with
-        | None -> failed := true
-        | Some r ->
-            Array.iteri (fun local orig -> rot.(orig) <- Array.map (fun w -> back.(w)) r.Rotation.rot.(local)) back
+    let off = Array.make (n + 1) 0 in
+    for v = 0 to n - 1 do
+      off.(v + 1) <- off.(v) + Graph.degree g v
+    done;
+    let nd = off.(n) in
+    let tgt = Array.make nd 0 and twin = Array.make nd 0 in
+    for v = 0 to n - 1 do
+      Array.iteri
+        (fun i w ->
+          tgt.(off.(v) + i) <- w;
+          twin.(off.(v) + i) <- off.(w) + Graph.neighbor_slot g w v)
+        (Graph.neighbors g v)
+    done;
+    (* Phase 1, orientation: heights, the two lowest return points of every
+       edge, and the nesting depth that orders each node's outgoing edges. *)
+    let height = Array.make n max_int and parent = Array.make n (-1) in
+    let out = Array.make nd false in
+    let lowpt = Array.make nd 0 and lowpt2 = Array.make nd 0 and nest = Array.make nd 0 in
+    let rec orient v =
+      let e = parent.(v) in
+      for d = off.(v) to off.(v + 1) - 1 do
+        if not (out.(d) || out.(twin.(d))) then begin
+          let w = tgt.(d) in
+          out.(d) <- true;
+          lowpt.(d) <- height.(v);
+          lowpt2.(d) <- height.(v);
+          if height.(w) = max_int then begin
+            parent.(w) <- d;
+            height.(w) <- height.(v) + 1;
+            orient w
+          end
+          else lowpt.(d) <- height.(w);
+          nest.(d) <- (2 * lowpt.(d)) + if lowpt2.(d) < height.(v) then 1 else 0;
+          if e >= 0 then
+            if lowpt.(d) < lowpt.(e) then begin
+              lowpt2.(e) <- min lowpt.(e) lowpt2.(d);
+              lowpt.(e) <- lowpt.(d)
+            end
+            else if lowpt.(d) > lowpt.(e) then lowpt2.(e) <- min lowpt2.(e) lowpt.(d)
+            else lowpt2.(e) <- min lowpt2.(e) lowpt2.(d)
+        end
+      done
+    in
+    (* One DFS tree per connected component, rooted at its smallest node:
+       the roots are the nodes left without a parent. *)
+    for v = 0 to n - 1 do
+      if height.(v) = max_int then begin
+        height.(v) <- 0;
+        orient v
       end
     done;
-    if !failed then None else Some (Rotation.create g rot)
+    let each_root f = for v = 0 to n - 1 do if parent.(v) < 0 then f v done in
+    let ordered () =
+      Array.init n (fun v ->
+          let darts = List.init (off.(v + 1) - off.(v)) (( + ) off.(v)) in
+          let a = Array.of_list (List.filter (fun d -> out.(d)) darts) in
+          Array.stable_sort (fun x y -> Int.compare nest.(x) nest.(y)) a;
+          a)
+    in
+    (* Phase 2, testing.  A conflict pair is two intervals of return edges,
+       each given by its lowest and highest edge; the pairs sit on a stack of
+       four parallel arrays, and [bottom.(d)] records its height when edge d
+       was entered. *)
+    let order = ordered () in
+    let reff = Array.make nd (-1) and side = Array.make nd 1 in
+    let lowpt_edge = Array.make nd (-1) and bottom = Array.make nd 0 in
+    let cap = (nd / 2) + 1 in
+    let ll = Array.make cap (-1) and lh = Array.make cap (-1) in
+    let rl = Array.make cap (-1) and rh = Array.make cap (-1) in
+    let sp = ref 0 in
+    let push l_lo l_hi r_lo r_hi =
+      ll.(!sp) <- l_lo;
+      lh.(!sp) <- l_hi;
+      rl.(!sp) <- r_lo;
+      rh.(!sp) <- r_hi;
+      incr sp
+    in
+    let empty lo hi = lo < 0 && hi < 0 in
+    let lowest p =
+      if empty ll.(p) lh.(p) then lowpt.(rl.(p))
+      else if empty rl.(p) rh.(p) then lowpt.(ll.(p))
+      else min lowpt.(ll.(p)) lowpt.(rl.(p))
+    in
+    let conflicting hi b = hi >= 0 && lowpt.(hi) > lowpt.(b) in
+    let set_ref d x = if d >= 0 then reff.(d) <- x in
+    let exception Nonplanar in
+    let add_constraints ei e =
+      let pl_lo = ref (-1) and pl_hi = ref (-1) and pr_lo = ref (-1) and pr_hi = ref (-1) in
+      (* Merge the return edges of ei into P's right interval. *)
+      let continue = ref true in
+      while !continue do
+        decr sp;
+        let p = !sp in
+        let left = not (empty ll.(p) lh.(p)) in
+        if left && not (empty rl.(p) rh.(p)) then raise Nonplanar;
+        let q_lo, q_hi = if left then (ll.(p), lh.(p)) else (rl.(p), rh.(p)) in
+        if lowpt.(q_lo) > lowpt.(e) then begin
+          if empty !pr_lo !pr_hi then pr_hi := q_hi else set_ref !pr_lo q_hi;
+          pr_lo := q_lo
+        end
+        else set_ref q_lo lowpt_edge.(e);
+        continue := !sp <> bottom.(ei)
+      done;
+      (* Merge the earlier siblings' return edges that conflict with ei into
+         P's left interval. *)
+      while !sp > 0 && (conflicting lh.(!sp - 1) ei || conflicting rh.(!sp - 1) ei) do
+        decr sp;
+        let p = !sp in
+        let swap = conflicting rh.(p) ei in
+        let q_llo, q_lhi, q_rlo, q_rhi =
+          if swap then (rl.(p), rh.(p), ll.(p), lh.(p)) else (ll.(p), lh.(p), rl.(p), rh.(p))
+        in
+        if conflicting q_rhi ei then raise Nonplanar;
+        set_ref !pr_lo q_rhi;
+        if q_rlo >= 0 then pr_lo := q_rlo;
+        if empty !pl_lo !pl_hi then pl_hi := q_lhi else set_ref !pl_lo q_lhi;
+        pl_lo := q_llo
+      done;
+      if not (empty !pl_lo !pl_hi && empty !pr_lo !pr_hi) then push !pl_lo !pl_hi !pr_lo !pr_hi
+    in
+    (* Drop the return edges into u from the top of one side of pair p; a
+       side left empty hands its lowest edge over to the other side. *)
+    let trim u lo hi other p =
+      while hi.(p) >= 0 && tgt.(hi.(p)) = u do
+        hi.(p) <- reff.(hi.(p))
+      done;
+      if hi.(p) < 0 && lo.(p) >= 0 then begin
+        reff.(lo.(p)) <- other.(p);
+        side.(lo.(p)) <- -1;
+        lo.(p) <- -1
+      end
+    in
+    let remove_back_edges e =
+      let u = tgt.(twin.(e)) in
+      (* Drop the pairs whose edges all return to u, then trim the next. *)
+      while !sp > 0 && lowest (!sp - 1) = height.(u) do
+        decr sp;
+        if ll.(!sp) >= 0 then side.(ll.(!sp)) <- -1
+      done;
+      if !sp > 0 then begin
+        trim u ll lh rl (!sp - 1);
+        trim u rl rh ll (!sp - 1)
+      end;
+      (* e takes the side of its highest return edge. *)
+      if lowpt.(e) < height.(u) then begin
+        let hl = lh.(!sp - 1) and hr = rh.(!sp - 1) in
+        reff.(e) <- (if hl >= 0 && (hr < 0 || lowpt.(hl) > lowpt.(hr)) then hl else hr)
+      end
+    in
+    let rec test v =
+      let e = parent.(v) in
+      Array.iteri
+        (fun i ei ->
+          bottom.(ei) <- !sp;
+          if parent.(tgt.(ei)) = ei then test tgt.(ei)
+          else begin
+            lowpt_edge.(ei) <- ei;
+            push (-1) (-1) ei ei
+          end;
+          if lowpt.(ei) < height.(v) then
+            if i = 0 then lowpt_edge.(e) <- lowpt_edge.(ei) else add_constraints ei e)
+        order.(v);
+      if e >= 0 then remove_back_edges e
+    in
+    match each_root test with
+    | exception Nonplanar -> None
+    | () ->
+        (* Phase 3, embedding: resolve every side against its reference
+           chain, re-sort the outgoing edges by signed nesting depth, and
+           thread each node's darts into a cyclic [cw]/[ccw] list. *)
+        let rec sign d =
+          if reff.(d) >= 0 then begin
+            side.(d) <- side.(d) * sign reff.(d);
+            reff.(d) <- -1
+          end;
+          side.(d)
+        in
+        for d = 0 to nd - 1 do
+          if out.(d) then nest.(d) <- sign d * nest.(d)
+        done;
+        let order = ordered () in
+        let cw = Array.make nd (-1) and ccw = Array.make nd (-1) and first = Array.make n (-1) in
+        let link_after a d =
+          let b = cw.(a) in
+          cw.(a) <- d;
+          ccw.(d) <- a;
+          cw.(d) <- b;
+          ccw.(b) <- d
+        in
+        let add_before v r d =
+          if r < 0 then begin
+            cw.(d) <- d;
+            ccw.(d) <- d
+          end
+          else link_after ccw.(r) d;
+          if first.(v) = r then first.(v) <- d
+        in
+        Array.iteri
+          (fun v a -> Array.iteri (fun i d -> if i = 0 then add_before v (-1) d else link_after a.(i - 1) d) a)
+          order;
+        let left_ref = Array.make n (-1) and right_ref = Array.make n (-1) in
+        let rec place v =
+          Array.iter
+            (fun d ->
+              let w = tgt.(d) and t = twin.(d) in
+              if parent.(w) = d then begin
+                add_before w first.(w) t;
+                left_ref.(v) <- d;
+                right_ref.(v) <- d;
+                place w
+              end
+              else if side.(d) = 1 then link_after right_ref.(w) t
+              else begin
+                add_before w left_ref.(w) t;
+                left_ref.(w) <- t
+              end)
+            order.(v)
+        in
+        each_root place;
+        let rot =
+          Array.init n (fun v ->
+              let d = ref off.(v) in
+              Array.init (off.(v + 1) - off.(v)) (fun _ ->
+                  let w = tgt.(!d) in
+                  d := cw.(!d);
+                  w))
+        in
+        Some (Rotation.create g rot)
   end
 
 let is_planar g = Option.is_some (embed g)

@@ -64,7 +64,10 @@ let faces t =
   done;
   List.rev !out
 
-let face_count t = List.length (faces t)
+(* A node without darts lies in a face of its own, which no dart walk
+   traces. *)
+let face_count t =
+  Array.fold_left (fun f r -> if Array.length r = 0 then f + 1 else f) (List.length (faces t)) t.rot
 
 let euler_genus t =
   let n = Graph.n t.graph and m = Graph.m t.graph in

@@ -34,12 +34,16 @@ val faces : t -> (int * int) list list
     left of each dart). *)
 
 val face_count : t -> int
+(** The number of face walks, plus one face for every node without
+    neighbors: an isolated node sits alone in a face of its own. *)
 
 val euler_genus : t -> int
-(** [2 - c - n + m - f + c] rearranged: the Euler genus [2c - (n - m + f)
-    + ... ]; 0 iff the embedding is planar (spherical).  Besides
-    {!is_planar_embedding}, [examples/embedding_audit.ml] prints it for an
-    honest and a corrupted rotation. *)
+(** [2c - (n - m + f)] for [c] connected components and [f =
+    face_count]: Euler's formula [n - m + f = 2 - eg] summed over the
+    components gives the Euler genus [eg], which is 0 iff the embedding is
+    planar (spherical).  Besides {!is_planar_embedding},
+    [examples/embedding_audit.ml] prints it for an honest and a corrupted
+    rotation. *)
 
 val is_planar_embedding : t -> bool
 (** True iff the rotation system embeds the graph in the plane, i.e. Euler

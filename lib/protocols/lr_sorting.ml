@@ -43,16 +43,16 @@ module Params = struct
 
   let make ?(c = 3) ?block n =
     if n < 1 then invalid_arg "Lr_sorting.Params.make";
-    (* block >= 2 keeps x2 = pos + 1 representable even when nblocks hits
-       2^block (only possible for n = 2); the ?block override is for the
-       block-size ablation (a larger block needs wider index fields, a
-       smaller one cannot hold the position bits) *)
+    (* block >= 2 keeps x2 = pos + 1 representable when nblocks hits 2^block
+       (only for n = 2); a one-node path's block holds one bit, x2 = 1.  The
+       ?block override is for the block-size ablation (a larger block needs
+       wider index fields, a smaller one cannot hold the position bits) *)
     let block =
       match block with
-      | None -> max 2 (ceil_log2 n)
+      | None -> max (min n 2) (ceil_log2 n)
       | Some b ->
           if b < ceil_log2 n then invalid_arg "Lr_sorting.Params.make: block too small for position bits";
-          max 2 b
+          max (min n 2) b
     in
     let nblocks = max 1 (n / block) in
     let rec pow b e = if e = 0 then 1 else b * pow b (e - 1) in

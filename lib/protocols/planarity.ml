@@ -18,15 +18,10 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   let n = Graph.n g in
   if n = 0 || not (Traversal.is_connected g) then invalid_arg "Planarity.run: need a connected graph";
   let meter = Dip.meter ~retain () in
-  (* The claimed rotation system. *)
-  let rot =
-    match (prover, Dipp_graph.Planarity.embed g) with
-    | Honest, Some r -> r
-    | Honest, None -> Rotation.default g (* non-planar: no valid embedding exists *)
-    | Best_rotation, _ -> (
-        (* best effort: embed a maximal planar subgraph and default the rest *)
-        match Dipp_graph.Planarity.embed g with Some r -> r | None -> Rotation.default g)
-  in
+  (* The claimed rotation system, the same for both provers: the embedding
+     when there is one, else the sorted neighbor order, since a non-planar
+     graph has no valid embedding to send. *)
+  let rot = match Dipp_graph.Planarity.embed g with Some r -> r | None -> Rotation.default g in
   (* Round 1: the prover writes (rho_u(e), rho_v(e)) on every edge, homed in
      node labels via Lemma 2.4: O(log Delta) bits per node. *)
   let el = Edge_labels.create g in

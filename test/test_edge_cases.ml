@@ -10,6 +10,32 @@ let test_lr_two_nodes () =
   let r = Lr_sorting.run ~prover:Lr_sorting.Honest inst in
   Alcotest.(check bool) "n=2 accepted" true r.Lr_sorting.verdict.Dip.accepted
 
+(* A one-node graph is a yes-instance of every family: a one-node path with
+   no arcs, embedded with one face.  Each seed must accept (perfect
+   completeness). *)
+let test_one_node () =
+  let g = Graph.create ~n:1 [] in
+  let rot = Rotation.default g in
+  let rejecting family accepted = List.filter (fun seed -> not (accepted ~seed)) (List.init 20 succ) |> List.map (Printf.sprintf "%s seed %d" family) in
+  let rejected =
+    List.concat
+      [
+        rejecting "lr" (fun ~seed ->
+            (Lr_sorting.run ~seed ~prover:Lr_sorting.Honest { Lr_sorting.n = 1; path = [| 0 |]; arcs = [] })
+              .Lr_sorting.verdict.Dip.accepted);
+        rejecting "path_outerplanarity" (fun ~seed ->
+            (Path_outerplanarity.run ~seed ~prover:Path_outerplanarity.Honest
+               { Path_outerplanarity.graph = g; witness = None })
+              .Path_outerplanarity.verdict.Dip.accepted);
+        rejecting "planar_embedding" (fun ~seed ->
+            (Planar_embedding.run ~seed ~prover:Planar_embedding.Honest { Planar_embedding.graph = g; rot })
+              .Planar_embedding.verdict.Dip.accepted);
+        rejecting "planarity" (fun ~seed ->
+            (Planarity.run ~seed ~prover:Planarity.Honest { Planarity.graph = g }).Planarity.verdict.Dip.accepted);
+      ]
+  in
+  Alcotest.(check (list string)) "no seed rejects" [] rejected
+
 let test_path_op_single_edge () =
   let r =
     Path_outerplanarity.run ~prover:Path_outerplanarity.Honest
@@ -145,6 +171,7 @@ let () =
       ( "degenerate sizes",
         [
           Alcotest.test_case "lr n=2" `Quick test_lr_two_nodes;
+          Alcotest.test_case "one node, seeds 1-20" `Quick test_one_node;
           Alcotest.test_case "path-op single edge" `Quick test_path_op_single_edge;
           Alcotest.test_case "outerplanarity triangle" `Quick test_outerplanarity_triangle;
           Alcotest.test_case "planarity tree" `Quick test_planarity_tree;

@@ -39,9 +39,13 @@ let test_params_block_sizes () =
   Alcotest.(check bool) "prime" true (Prime.is_prime p.Lr_sorting.Params.p.Fp.p)
 
 let test_params_tiny () =
-  let p = Lr_sorting.Params.make 1 in
+  let p = Lr_sorting.Params.make 2 in
   Alcotest.(check int) "block >= 2" 2 p.Lr_sorting.Params.block;
-  Alcotest.(check int) "one block" 1 p.Lr_sorting.Params.nblocks
+  Alcotest.(check int) "one block" 1 p.Lr_sorting.Params.nblocks;
+  (* a one-node path: one block of one bit, which its only node carries *)
+  let p = Lr_sorting.Params.make 1 in
+  Alcotest.(check int) "n = 1: block 1" 1 p.Lr_sorting.Params.block;
+  Alcotest.(check int) "n = 1: one block" 1 p.Lr_sorting.Params.nblocks
 
 let test_params_field_ordering () =
   let p = Lr_sorting.Params.make 4096 in

@@ -1,4 +1,4 @@
-(* Recognition algorithms: rotation systems / face tracing, DMP planarity,
+(* Recognition algorithms: rotation systems / face tracing, planarity,
    outerplanarity, series-parallel, treewidth <= 2. *)
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -16,6 +16,19 @@ let test_faces_count_dart_cover () =
   let rot = Option.get (Planar_test.embed g) in
   let total_darts = List.fold_left (fun acc f -> acc + List.length f) 0 (Rotation.faces rot) in
   Alcotest.(check int) "every dart once" (2 * Graph.m g) total_darts
+
+(* An isolated node has no darts but sits in a face of its own, so Euler's
+   formula holds for [embed]'s output on graphs that have one. *)
+let test_isolated_nodes () =
+  let one = Option.get (Planar_test.embed (Graph.create ~n:1 [])) in
+  Alcotest.(check int) "one node: one face" 1 (Rotation.face_count one);
+  Alcotest.(check int) "one node: genus 0" 0 (Rotation.euler_genus one);
+  Alcotest.(check bool) "one node: planar" true (Rotation.is_planar_embedding one);
+  let g, _ = Graph.union_disjoint [ Graph.complete 4; Graph.create ~n:1 [] ] in
+  let rot = Option.get (Planar_test.embed g) in
+  Alcotest.(check int) "K4 + node: 4 + 1 faces" 5 (Rotation.face_count rot);
+  Alcotest.(check int) "K4 + node: genus 0" 0 (Rotation.euler_genus rot);
+  Alcotest.(check bool) "K4 + node: planar" true (Rotation.is_planar_embedding rot)
 
 let test_k4_embeddings () =
   (* K4 has exactly 2 of 16 parent-fixed rotation systems planar *)
@@ -108,6 +121,34 @@ let prop_euler_bound =
     (fun (seed, n) ->
       let g = Gen.planar ~n seed in
       Graph.m g <= (3 * Graph.n g) - 6 || Graph.n g < 3)
+
+(* Words allocated by [f ()]: minor + major - promoted, read after a minor
+   collection, which brings the counters up to date and makes them exact in
+   native code (as test_gen's Gen.planar gate counts). *)
+let words_of f =
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  ignore (Sys.opaque_identity (f ()));
+  words () -. before
+
+let test_embed_linear_alloc () =
+  let per_node n =
+    let g = Gen.planar ~n 3 in
+    words_of (fun () -> Planar_test.embed g) /. float_of_int n
+  in
+  let w256 = per_node 256 and w2048 = per_node 2048 in
+  if w2048 > 1.25 *. w256 then
+    Alcotest.failf "embed words per node: %.0f at n = 2048 > 1.25 x %.0f at n = 256" w2048 w256
+
+(* The embedding family's instance build at n = 2048 (generator plus
+   embedder) stays under 51 Mwords, 1 % of what a cubic embedder took. *)
+let test_embedding_family_alloc () =
+  let w = words_of (fun () -> Family.planar_embedding.Family.build ~n:2048 ~gseed:3) in
+  if w > 51e6 then Alcotest.failf "Family.planar_embedding.build at n = 2048: %.1f Mwords > 51" (w /. 1e6)
 
 (* ---- Outerplanarity --------------------------------------------------- *)
 
@@ -296,6 +337,7 @@ let () =
         [
           Alcotest.test_case "triangle faces" `Quick test_faces_triangle;
           Alcotest.test_case "dart cover" `Quick test_faces_count_dart_cover;
+          Alcotest.test_case "isolated nodes" `Quick test_isolated_nodes;
           Alcotest.test_case "K4 embeddings" `Quick test_k4_embeddings;
           Alcotest.test_case "validation" `Quick test_rotation_validation;
           Alcotest.test_case "corrupt swap" `Quick test_corrupt_swap_invalid;
@@ -308,6 +350,8 @@ let () =
           qtest prop_generated_planar_embeds;
           qtest prop_nonplanar_detected;
           qtest prop_euler_bound;
+          Alcotest.test_case "embed allocation is linear" `Quick test_embed_linear_alloc;
+          Alcotest.test_case "embedding family build allocation" `Quick test_embedding_family_alloc;
         ] );
       ( "outerplanarity",
         [

@@ -22,7 +22,7 @@ let euler_path h = List.init (Graph.n h) Fun.id
 let embedded inst_of (seed, n) =
   let g = Gen.planar ~n seed in
   match Gen.embedding g with
-  | None -> QCheck.Test.fail_report "DMP found no embedding for a planar graph"
+  | None -> QCheck.Test.fail_report "embed found no embedding for a planar graph"
   | Some rot -> inst_of { Planar_embedding.graph = g; rot }
 
 (* Lemma 7.3, forward: a planar rotation system reduces to a graph whose
