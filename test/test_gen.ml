@@ -162,19 +162,8 @@ let test_planar_reference_600 () =
       Alcotest.(check bool) (Printf.sprintf "n = 600, seed %d" seed) true (same_as_reference ~n:600 seed))
     [ 0; 3; 977 ]
 
-(* Words allocated per node by one [Gen.planar] call.  Arrays past the
-   minor-heap size limit go straight to the major heap, so the count is
-   minor + major - promoted, read after a minor collection, which brings
-   the counters up to date and makes them exact in native code. *)
-let planar_words_per_node n =
-  let words () =
-    Gc.minor ();
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let before = words () in
-  ignore (Sys.opaque_identity (Gen.planar ~n 1));
-  (words () -. before) /. float_of_int n
+(* Words allocated per node by one [Gen.planar] call (exact; see Alloc). *)
+let planar_words_per_node n = Alloc.words_of (fun () -> Gen.planar ~n 1) /. float_of_int n
 
 let test_planar_linear_alloc () =
   let w256 = planar_words_per_node 256 and w2048 = planar_words_per_node 2048 in

@@ -122,23 +122,10 @@ let prop_euler_bound =
       let g = Gen.planar ~n seed in
       Graph.m g <= (3 * Graph.n g) - 6 || Graph.n g < 3)
 
-(* Words allocated by [f ()]: minor + major - promoted, read after a minor
-   collection, which brings the counters up to date and makes them exact in
-   native code (as test_gen's Gen.planar gate counts). *)
-let words_of f =
-  let words () =
-    Gc.minor ();
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let before = words () in
-  ignore (Sys.opaque_identity (f ()));
-  words () -. before
-
 let test_embed_linear_alloc () =
   let per_node n =
     let g = Gen.planar ~n 3 in
-    words_of (fun () -> Planar_test.embed g) /. float_of_int n
+    Alloc.words_of (fun () -> Planar_test.embed g) /. float_of_int n
   in
   let w256 = per_node 256 and w2048 = per_node 2048 in
   if w2048 > 1.25 *. w256 then
@@ -147,7 +134,7 @@ let test_embed_linear_alloc () =
 (* The embedding family's instance build at n = 2048 (generator plus
    embedder) stays under 51 Mwords, 1 % of what a cubic embedder took. *)
 let test_embedding_family_alloc () =
-  let w = words_of (fun () -> Family.planar_embedding.Family.build ~n:2048 ~gseed:3) in
+  let w = Alloc.words_of (fun () -> Family.planar_embedding.Family.build ~n:2048 ~gseed:3) in
   if w > 51e6 then Alcotest.failf "Family.planar_embedding.build at n = 2048: %.1f Mwords > 51" (w /. 1e6)
 
 (* ---- Outerplanarity --------------------------------------------------- *)

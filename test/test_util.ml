@@ -290,15 +290,11 @@ let prop_int_matches_reference =
         (fun _ -> Rng.int a bound = reference_int b bound)
         (List.init draws Fun.id))
 
-(* Words per [Rng.int] draw, counted as test_gen counts: minor + major -
-   promoted, read after a minor collection.  What is left is the boxed
-   [int64] state [bits64] stores; [int] itself must add nothing. *)
+(* Words per [Rng.int] draw, counted exactly (see Alloc).  What is left
+   is the boxed [int64] state [bits64] stores; [int] itself must add
+   nothing. *)
 let test_rng_int_alloc () =
-  let words () =
-    Gc.minor ();
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
+  let words = Alloc.words in
   let rng = Rng.create 5 and draws = 100_000 in
   (* what reading the counters allocates itself *)
   let overhead =
