@@ -91,4 +91,3 @@ module Pls_path_outerplanar = Dipp_baselines.Pls_path_outerplanar
 module Pls_spanning_tree = Dipp_baselines.Pls_spanning_tree
 module Lower_bound = Dipp_baselines.Lower_bound
 module Graph_io = Dipp_graph.Graph_io
-module Amplify = Dipp_dip.Amplify

@@ -97,28 +97,6 @@ let parent_candidates ~own ~nbrs =
       else None)
     nbrs
 
-let children_of ~own ~nbrs =
-  List.filter_map
-    (fun (u, l) ->
-      if l.parity <> own.parity && (if own.parity then l.c2 = own.c2 else l.c1 = own.c1) then Some u
-      else None)
-    nbrs
-
 let locally_wellformed ~own ~nbrs =
   let cands = parent_candidates ~own ~nbrs in
   if own.root then List.is_empty cands else List.length cands = 1
-
-let decode_forest g labels =
-  let n = Graph.n g in
-  let nbrs_of v = Array.to_list (Array.map (fun u -> (u, labels.(u))) (Graph.neighbors g v)) in
-  let out = Array.make n (-1) in
-  let ok = ref true in
-  for v = 0 to n - 1 do
-    let own = labels.(v) and nbrs = nbrs_of v in
-    if not (locally_wellformed ~own ~nbrs) then ok := false
-    else
-      match parent_candidates ~own ~nbrs with
-      | [ p ] -> out.(v) <- p
-      | _ -> ()
-  done;
-  if !ok then Some out else None

@@ -31,12 +31,6 @@ val read : cbits:int -> Bits.Reader.t -> label
     neighbors' labels, as in the model. *)
 
 val parent_candidates : own:label -> nbrs:(int * label) list -> int list
-val children_of : own:label -> nbrs:(int * label) list -> int list
 
 val locally_wellformed : own:label -> nbrs:(int * label) list -> bool
 (** Root has no parent candidate; a non-root has exactly one. *)
-
-val decode_forest : Graph.t -> label array -> int array option
-(** Whole-graph decode (used by tests and by higher protocols after the
-    per-node checks passed): parent array with [-1] at roots, or [None] if
-    some node is not locally well-formed. *)

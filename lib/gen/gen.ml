@@ -272,23 +272,6 @@ let nonplanar ~n seed =
   done;
   Graph.create ~n ((!edges |> List.map (fun (a, b) -> Graph.normalize_edge a b)) @ Graph.edges g)
 
-let nonplanar_k33 ~n seed =
-  if n < 22 then invalid_arg "Gen.nonplanar_k33";
-  let extra = 6 + 9 in
-  let g = planar ~n:(n - extra) seed in
-  let base = n - extra in
-  let left = Array.init 3 (fun i -> base + i) and right = Array.init 3 (fun i -> base + 3 + i) in
-  let mid = ref (base + 6) in
-  let edges = ref [ (0, left.(0)) ] in
-  for i = 0 to 2 do
-    for j = 0 to 2 do
-      let m = !mid in
-      incr mid;
-      edges := (left.(i), m) :: (m, right.(j)) :: !edges
-    done
-  done;
-  Graph.create ~n ((!edges |> List.map (fun (a, b) -> Graph.normalize_edge a b)) @ Graph.edges g)
-
 (* ------------------------------------------------------------------ *)
 (* Large-scale planar families (the sharded-engine size ladder)        *)
 (* ------------------------------------------------------------------ *)

@@ -78,10 +78,6 @@ val nested_triangulation_no : n:int -> int -> Graph.t
 (** {!nested_triangulation} on [n - 15] nodes plus a once-subdivided K5
     attached to node 0: nonplanar, same scale. *)
 
-val nonplanar_k33 : n:int -> int -> Graph.t
-(** A planar base with a subdivided K3,3 spliced in (the other Kuratowski
-    obstruction). *)
-
 val embedding : Graph.t -> Rotation.t option
 (** Valid rotation system via the left-right embedder. *)
 

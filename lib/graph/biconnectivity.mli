@@ -41,9 +41,11 @@ val chain_decomposition : Graph.t -> int list list option
     an already-visited vertex).  Returns the chains in discovery order —
     when the graph is biconnected this is an open ear decomposition: the
     first chain is a cycle and every other chain is a path with distinct
-    endpoints on earlier chains.  [None] for trees (no back edges). *)
+    endpoints on earlier chains.  [None] for trees (no back edges).  No
+    protocol calls it: it is the independent oracle the tests check
+    {!is_biconnected} (Tarjan's low points) against. *)
 
 val is_biconnected_chains : Graph.t -> bool
 (** Schmidt's criterion: connected, some chain exists, every edge lies in a
     chain, and the first chain is the only cycle.  Agrees with
-    {!is_biconnected} (cross-checked in the tests) for n >= 3. *)
+    {!is_biconnected} for n >= 3; the tests' oracle for it. *)

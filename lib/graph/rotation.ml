@@ -78,21 +78,6 @@ let euler_genus t =
 
 let is_planar_embedding t = euler_genus t = 0
 
-let dual t =
-  let fs = faces t in
-  let k = List.length fs in
-  (* face id per dart *)
-  let face_of = Hashtbl.create 16 in
-  List.iteri (fun i f -> List.iter (fun d -> Hashtbl.replace face_of d i) f) fs;
-  let edges =
-    Graph.fold_edges
-      (fun (u, v) acc ->
-        let f1 = Hashtbl.find face_of (u, v) and f2 = Hashtbl.find face_of (v, u) in
-        if f1 <> f2 then (f1, f2) :: acc else acc)
-      t.graph []
-  in
-  Graph.create ~n:k edges
-
 let corrupt_swap t rng =
   let n = Graph.n t.graph in
   let candidates = List.filter (fun v -> Array.length t.rot.(v) >= 3) (List.init n Fun.id) in

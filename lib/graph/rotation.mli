@@ -49,12 +49,6 @@ val is_planar_embedding : t -> bool
 (** True iff the rotation system embeds the graph in the plane, i.e. Euler
     genus 0. *)
 
-val dual : t -> Graph.t
-(** The dual multigraph collapsed to a simple graph: one node per face, an
-    edge between two faces that share a primal edge (self-loops from
-    bridges and parallel duals are collapsed).  For a planar embedding of a
-    connected graph the dual is connected and itself planar. *)
-
 val corrupt_swap : t -> Rng.t -> t option
 (** Swap two entries in the rotation of a random node of degree >= 3 whose
     swap changes the face structure — used to build no-instances for the

@@ -36,4 +36,5 @@ val ears_of_sp : sp_tree -> int list list
     terminal-to-terminal path. *)
 
 val check_nested_ears : Graph.t -> int list list -> bool
-(** Exact check of Eppstein's three conditions plus edge-partition. *)
+(** Exact check of Eppstein's three conditions plus edge-partition.  No
+    protocol calls it: it is the tests' oracle for {!ears_of_sp}. *)

@@ -1,14 +1,4 @@
 let eval f s x =
   List.fold_left (fun acc e -> Fp.mul f acc (Fp.sub f e x)) 1 s
 
-let eval_prefixes f groups x =
-  let out = Array.make (List.length groups) 1 in
-  let acc = ref 1 in
-  List.iteri
-    (fun i group ->
-      acc := Fp.mul f !acc (eval f group x);
-      out.(i) <- !acc)
-    groups;
-  out
-
 let collision_bound ~size ~p = float_of_int size /. float_of_int p

@@ -9,12 +9,6 @@
 val eval : Fp.t -> int list -> int -> int
 (** [eval f s x] is [phi_S(x)] over [f]. *)
 
-val eval_prefixes : Fp.t -> int list list -> int -> int array
-(** [eval_prefixes f groups x] returns the running products of
-    [phi(x)] where group [i]'s elements are folded in at position [i]:
-    [out.(i) = phi_{union of groups 0..i}(x)].  This is the "aggregate up
-    the path" shape used by the in-block multiset-equality executions. *)
-
 val collision_bound : size:int -> p:int -> float
 (** Upper bound [size/p] on the false-acceptance probability for multisets
     of the given size. *)

@@ -157,11 +157,31 @@ let test_all_accept () =
 
 (* ---- Forest encoding (Lemma 2.3) --------------------------------------- *)
 
+(* Whole-graph decode from the per-node checks: the parent array with -1
+   at roots, or None if some node is not locally well-formed. *)
+let decode_forest g labels =
+  let out = Array.make (Graph.n g) (-1) in
+  let ok = ref true in
+  for v = 0 to Graph.n g - 1 do
+    let own = labels.(v) and nbrs = Array.to_list (Array.map (fun u -> (u, labels.(u))) (Graph.neighbors g v)) in
+    if not (Forest_encoding.locally_wellformed ~own ~nbrs) then ok := false
+    else match Forest_encoding.parent_candidates ~own ~nbrs with [ p ] -> out.(v) <- p | _ -> ()
+  done;
+  if !ok then Some out else None
+
+(* The neighbours that point to [own] as their parent. *)
+let children_of ~(own : Forest_encoding.label) ~nbrs =
+  List.filter_map
+    (fun (u, (l : Forest_encoding.label)) ->
+      if l.parity <> own.parity && (if own.parity then l.c2 = own.c2 else l.c1 = own.c1) then Some u
+      else None)
+    nbrs
+
 let test_forest_encoding_path () =
   let g = Graph.path_graph 10 in
   let parent = Traversal.tree_parent g 0 in
   let enc = Forest_encoding.encode g ~parent in
-  match Forest_encoding.decode_forest g enc with
+  match decode_forest g enc with
   | Some p -> Alcotest.(check (array int)) "decoded" parent p
   | None -> Alcotest.fail "well-formed encoding"
 
@@ -172,7 +192,7 @@ let prop_forest_encoding_roundtrip =
       let g = Gen.planar ~n seed in
       let parent = Traversal.tree_parent g (seed mod n) in
       let enc = Forest_encoding.encode g ~parent in
-      match Forest_encoding.decode_forest g enc with Some p -> p = parent | None -> false)
+      match decode_forest g enc with Some p -> p = parent | None -> false)
 
 let prop_forest_encoding_constant_size =
   QCheck.Test.make ~name:"forest encoding: O(1) bits on planar graphs" ~count:30
@@ -196,14 +216,14 @@ let test_forest_encoding_children () =
   let parent = Array.init 6 (fun v -> if v = 0 then -1 else 0) in
   let enc = Forest_encoding.encode g ~parent in
   let nbrs = Array.to_list (Array.map (fun u -> (u, enc.(u))) (Graph.neighbors g 0)) in
-  let kids = Forest_encoding.children_of ~own:enc.(0) ~nbrs in
+  let kids = children_of ~own:enc.(0) ~nbrs in
   Alcotest.(check (list int)) "children" [ 1; 2; 3; 4; 5 ] (List.sort Int.compare kids)
 
 let test_forest_encoding_multi_roots () =
   let g = Graph.create ~n:6 [ (0, 1); (1, 2); (3, 4); (4, 5); (2, 3) ] in
   let parent = [| -1; 0; 1; -1; 3; 4 |] in
   let enc = Forest_encoding.encode g ~parent in
-  match Forest_encoding.decode_forest g enc with
+  match decode_forest g enc with
   | Some p -> Alcotest.(check (array int)) "two roots decoded" parent p
   | None -> Alcotest.fail "well-formed"
 
