@@ -24,9 +24,10 @@ let rules =
     {
       id = "rng";
       summary =
-        "no direct Random.* use outside lib/util/rng.ml (draw through the seeded Rng), and no \
+        "no direct Random.* use outside lib/util/rng.ml (draw through the seeded Rng), no \
          module-level Rng streams (Domain-shared mutable state; derive per-trial streams inside \
-         the worker)";
+         the worker), and under protocols/ and dip/ no seed arithmetic in Rng.create or ~seed: \
+         and no literal Rng.split salt (name the stream)";
     };
     { id = "obj-magic"; summary = "no Obj.* unsafe casts" };
     {
@@ -177,10 +178,64 @@ let toplevel_rng_findings structure =
     structure;
   !findings
 
+(* Coins by name: under protocols/ and dip/ every coin stream is named by
+   its place in the reduction (Rng.derive, Rng.split_string).  Arithmetic
+   on a seed, or a literal salt, is a hand-picked offset that another
+   module's offsets can collide with. *)
+let in_coin_scope filename =
+  match Filename.basename (Filename.dirname filename) with "protocols" | "dip" -> true | _ -> false
+
+let mentions p (e : Parsetree.expression) =
+  let found = ref false in
+  let expr self (e : Parsetree.expression) =
+    if p e then found := true else Ast_iterator.default_iterator.expr self e
+  in
+  let iter = { Ast_iterator.default_iterator with expr } in
+  iter.expr iter e;
+  !found
+
+let is_arith_op (f : Parsetree.expression) =
+  match f.pexp_desc with Pexp_ident { txt = Longident.Lident ("+" | "-" | "*"); _ } -> true | _ -> false
+
+let is_arith (e : Parsetree.expression) =
+  match e.pexp_desc with Pexp_apply (f, _) -> is_arith_op f | _ -> false
+
+(* A literal as the salt or as a term of its arithmetic ([1], [700 + v]);
+   a subscript such as [back.(0)] is a node id, not an offset. *)
+let rec literal_term (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_constant (Pconst_integer _) -> true
+  | Pexp_apply (f, args) when is_arith_op f ->
+      List.exists (fun (_, a) -> literal_term a) args
+  | _ -> false
+
+let coin_offsets ~add (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
+      let offset what =
+        add ~loc:e.pexp_loc "rng"
+          (Printf.sprintf
+             "arithmetic in %s is a hand-picked seed offset; name the stream (Rng.derive seed \"<name>\")"
+             what)
+      in
+      (match (Ast_scan.last_two txt, args) with
+      | Some ("Rng", "create"), [ (Asttypes.Nolabel, a) ] when mentions is_arith a -> offset "an Rng.create seed"
+      | Some ("Rng", "split"), [ _; (Asttypes.Nolabel, salt) ] when literal_term salt ->
+          add ~loc:e.pexp_loc "rng"
+            "integer literal in an Rng.split salt; split a named role stream (Rng.split_string rng \"<role>\") by node id"
+      | _ -> ());
+      List.iter
+        (function
+          | (Asttypes.Labelled "seed" | Asttypes.Optional "seed"), a when mentions is_arith a -> offset "a ~seed: argument"
+          | _ -> ())
+        args
+  | _ -> ()
+
 let hygiene ~filename structure =
   let findings = ref [] in
   let add ~loc rule msg = findings := Report.finding ~loc ~rule msg :: !findings in
   let in_rng_module = Filename.basename filename = "rng.ml" in
+  let coins = in_coin_scope filename in
   let check_ident ~loc txt =
     let path = Ast_scan.ident_path txt in
     if path_head txt = "Obj" then
@@ -218,6 +273,7 @@ let hygiene ~filename structure =
                    op p)
           | None, None -> ())
     | _ -> ());
+    if coins then coin_offsets ~add e;
     Ast_iterator.default_iterator.expr self e
   in
   let iter = { Ast_iterator.default_iterator with expr } in

@@ -567,14 +567,16 @@ let run ?(seed = 0) ?(c = 3) ?block ?(retain = false) ?(codec = Bits_flat.Flat) 
 
   (* ---- Round 2 (verifier): r, r', r_b ---- *)
   let rng = Rng.create seed in
+  let r_coins = Rng.split_string rng "r" and rp_coins = Rng.split_string rng "r'" in
+  let rb_coins = Rng.split_string rng "rb" in
   let is_leader v = r1.(v).j = 1 in
   let coins2 : coins2 array =
     Array.init n (fun v ->
         let leftmost = pos.(v) = 0 in
         {
-          r = (if leftmost then Some (Fp.sample p (Rng.split rng (2 * v))) else None);
-          rp = (if leftmost then Some (Fp.sample p (Rng.split rng ((2 * v) + 1))) else None);
-          rb = (if is_leader v then Some (Fp.sample p (Rng.split rng (n + v))) else None);
+          r = (if leftmost then Some (Fp.sample p (Rng.split r_coins v)) else None);
+          rp = (if leftmost then Some (Fp.sample p (Rng.split rp_coins v)) else None);
+          rb = (if is_leader v then Some (Fp.sample p (Rng.split rb_coins v)) else None);
         })
   in
   (* dipp-refine: value <= 3*loglog + 6 *)
@@ -632,9 +634,9 @@ let run ?(seed = 0) ?(c = 3) ?block ?(retain = false) ?(codec = Bits_flat.Flat) 
           (List.map (fun a -> Bits.of_int ~width:wp (Arc_map.find a arc_r3).jval) inst.arcs)));
 
   (* ---- Round 4 (verifier): z per block ---- *)
+  let z_coins = Rng.split_string rng "z" in
   let coins4 : coins4 array =
-    Array.init n (fun v ->
-        { z = (if is_leader v then Some (Fp.sample p2 (Rng.split rng ((2 * n) + v))) else None) })
+    Array.init n (fun v -> { z = (if is_leader v then Some (Fp.sample p2 (Rng.split z_coins v)) else None) })
   in
   let wq = Fp.bit_width p2 in
   Dip.record_verifier meter

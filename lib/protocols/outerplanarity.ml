@@ -68,7 +68,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   let n = Graph.n g in
   if n = 0 || not (Traversal.is_connected g) then invalid_arg "Outerplanarity.run: need a connected graph";
   let meter = Dip.meter ~retain () in
-  let rng = Rng.create (seed + 101) in
+  let rng = Rng.create seed in
   let pa = Lr_sorting.Params.make ~c n in
   let nb = Fp.bit_width pa.Lr_sorting.Params.p in
   let bc = Biconnectivity.compute g in
@@ -159,10 +159,11 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
 
   (* -------- verifier coins: ST coins + sep/lead samples --------------- *)
   let reps = max 2 (nb / 2) in
-  let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent (Rng.split rng 1) in
+  let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent (Rng.split_string rng "st") in
+  let tag_coins = Rng.split_string rng "tag" in
   let samples =
     Array.init n (fun v ->
-        if cut_bit.(v) || leader.(v) then Some (Bits.random (Rng.split rng (500 + v)) nb) else None)
+        if cut_bit.(v) || leader.(v) then Some (Bits.random (Rng.split tag_coins v) nb) else None)
   in
   let st_coin_bits = Spanning_tree_verify.coins_to_bits st_coins in
   Dip.record_verifier meter
@@ -226,8 +227,8 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
           in
           Some
             (close_cycle sub witness
-               (Path_outerplanarity.run ~seed:(seed + (13 * b)) ~c ~param_n:n ~codec
-                  ~prover:comp_prover
+               (Path_outerplanarity.run ~seed:(Rng.derive seed ("block/" ^ string_of_int b)) ~c
+                  ~param_n:n ~codec ~prover:comp_prover
                   { Path_outerplanarity.graph = sub; witness }))
         end)
       (List.init k Fun.id)

@@ -88,7 +88,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
   let g = inst.graph in
   let n = Graph.n g in
   if n = 0 then invalid_arg "Path_outerplanarity.run: empty graph";
-  let rng = Rng.create (seed * 31 + 17) in
+  let rng = Rng.create seed in
   let meter = Dip.meter ~retain () in
   let sizing_n = max n (Option.value ~default:n param_n) in
   let pa = Lr_sorting.Params.make ~c sizing_n in
@@ -255,8 +255,9 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
 
   (* -------- Round 2 (verifier): ST coins + name strings -------------- *)
   let reps = max 2 (nb / 2) in
-  let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent:claimed_parent (Rng.split rng 1) in
-  let names = Array.init n (fun v -> Bits.random (Rng.split rng (100 + v)) nb) in
+  let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent:claimed_parent (Rng.split_string rng "st") in
+  let name_coins = Rng.split_string rng "name" in
+  let names = Array.init n (fun v -> Bits.random (Rng.split name_coins v) nb) in
   let st_coin_bits = Spanning_tree_verify.coins_to_bits st_coins in
   Dip.record_verifier meter
     (Array.init n (fun v -> Bits.concat [ st_coin_bits.(v); names.(v) ]));
@@ -328,7 +329,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
     | Some p ->
         let arcs = List.map (fun e -> Edge_map.find e orientation) nonpath_edges in
         let lr_inst = { Lr_sorting.n; path = Array.of_list p; arcs } in
-        Some (Lr_sorting.run ~seed:(seed + 7) ~c ~codec ~prover:Lr_sorting.Honest lr_inst)
+        Some (Lr_sorting.run ~seed:(Rng.derive seed "lr") ~c ~codec ~prover:Lr_sorting.Honest lr_inst)
   in
 
   (* -------- Verification --------------------------------------------- *)

@@ -104,7 +104,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   if n = 0 || not (Traversal.is_connected g) then
     invalid_arg "Planar_embedding.run: need a connected graph";
   let meter = Dip.meter ~retain () in
-  let rng = Rng.create (seed + 77) in
+  let rng = Rng.create seed in
   let pa = Lr_sorting.Params.make ~c (max 2 ((2 * n) - 1)) in
   let nb = Fp.bit_width pa.Lr_sorting.Params.p in
   let root = 0 in
@@ -117,7 +117,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
     (Array.init n (fun v -> Forest_encoding.to_bits ~cbits enc.(v)));
   (* Rounds 2-3: certify T (Lemma 2.5). *)
   let reps = max 2 (nb / 2) in
-  let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent (Rng.split rng 3) in
+  let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent (Rng.split_string rng "st") in
   Dip.record_verifier meter (Spanning_tree_verify.coins_to_bits st_coins);
   let st_resp = Spanning_tree_verify.honest_response ~reps ~parent st_coins in
   let st_resp_bits = Spanning_tree_verify.response_to_bits st_resp in
@@ -141,7 +141,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   in
   let witness = List.init (Graph.n red.h) Fun.id in
   let inner =
-    Path_outerplanarity.run ~seed:(seed + 5) ~c ~codec ~prover:inner_prover
+    Path_outerplanarity.run ~seed:(Rng.derive seed "h") ~c ~codec ~prover:inner_prover
       { Path_outerplanarity.graph = red.h; witness = Some witness }
   in
   (* Stats: every original node simulates at most 5 copies (its first and

@@ -68,7 +68,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
     match prover with Honest -> Planar_embedding.Honest | Best_rotation -> Planar_embedding.Crossing_sweep
   in
   let inner =
-    Planar_embedding.run ~seed:(seed + 3) ~c ~codec ~prover:inner_prover
+    Planar_embedding.run ~seed:(Rng.derive seed "embedding") ~c ~codec ~prover:inner_prover
       { Planar_embedding.graph = g; rot }
   in
   let own = Dip.stats meter in

@@ -20,7 +20,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
   let n = Graph.n g in
   if n < 2 || not (Traversal.is_connected g) then invalid_arg "Series_parallel_dip.run: need a connected graph";
   let meter = Dip.meter ~retain () in
-  let rng = Rng.create (seed + 211) in
+  let rng = Rng.create seed in
   let sizing_n = max n (Option.value ~default:n param_n) in
   let pa = Lr_sorting.Params.make ~c sizing_n in
   let nb = Fp.bit_width pa.Lr_sorting.Params.p in
@@ -120,14 +120,14 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
   (* -------- Round 2 (verifier): sub-ear tags + per-sub-ear ST coins ---- *)
   let leader = Array.make n false in
   Array.iter (fun sub -> if Array.length sub > 0 then leader.(sub.(0)) <- true) sub_ears;
+  let tag_coins = Rng.split_string rng "tag" and st_coins = Rng.split_string rng "st" in
   let tag_sample =
-    Array.init n (fun v -> if leader.(v) then Some (Bits.random (Rng.split rng (700 + v)) nb) else None)
+    Array.init n (fun v -> if leader.(v) then Some (Bits.random (Rng.split tag_coins v) nb) else None)
   in
   let reps = max 2 (nb / 2) in
   (* one ST execution per sub-ear, on the induced subgraph *)
   let st_runs =
     Array.to_list sub_ears
-    |> List.filteri (fun _ _ -> true)
     |> List.map (fun sub ->
            if Array.length sub = 0 then None
            else begin
@@ -140,7 +140,7 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
                    let orig = back.(i) in
                    if parent.(orig) >= 0 && inv.(parent.(orig)) >= 0 then inv.(parent.(orig)) else -1)
              in
-             let coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent:sparent (Rng.split rng (back.(0) + 1)) in
+             let coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent:sparent (Rng.split st_coins back.(0)) in
              Some (subg, back, inv, sparent, coins)
            end)
   in
@@ -242,8 +242,8 @@ let run ?(seed = 0) ?(c = 3) ?param_n ?(retain = false) ?(codec = Bits_flat.Flat
           let path_edges = List.init (len - 1) (fun i -> (i, i + 1)) in
           let derived = Graph.create ~n:len (path_edges @ chords) in
           Some
-            (Path_outerplanarity.run ~seed:(seed + (17 * j)) ~c ~param_n:sizing_n ~codec
-               ~prover:host_prover
+            (Path_outerplanarity.run ~seed:(Rng.derive seed ("ear/" ^ string_of_int j)) ~c
+               ~param_n:sizing_n ~codec ~prover:host_prover
                { Path_outerplanarity.graph = derived; witness = Some (List.init len Fun.id) })
         end)
       (List.init k Fun.id)

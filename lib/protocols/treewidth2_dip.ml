@@ -14,7 +14,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   let n = Graph.n g in
   if n = 0 || not (Traversal.is_connected g) then invalid_arg "Treewidth2_dip.run: need a connected graph";
   let meter = Dip.meter ~retain () in
-  let rng = Rng.create (seed + 311) in
+  let rng = Rng.create seed in
   let pa = Lr_sorting.Params.make ~c n in
   let nb = Fp.bit_width pa.Lr_sorting.Params.p in
   let bc = Biconnectivity.compute g in
@@ -64,9 +64,10 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   Dip.record_prover meter (Array.init n r1_node);
 
   let reps = max 2 (nb / 2) in
-  let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent (Rng.split rng 1) in
+  let st_coins = Spanning_tree_verify.draw_coins ~reps ~tag_bits:4 ~parent (Rng.split_string rng "st") in
+  let cut_coins = Rng.split_string rng "cut" in
   let samples =
-    Array.init n (fun v -> if cut_bit.(v) then Some (Bits.random (Rng.split rng (900 + v)) nb) else None)
+    Array.init n (fun v -> if cut_bit.(v) then Some (Bits.random (Rng.split cut_coins v) nb) else None)
   in
   let st_coin_bits = Spanning_tree_verify.coins_to_bits st_coins in
   Dip.record_verifier meter
@@ -76,7 +77,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   let st_resp = Spanning_tree_verify.honest_response ~reps ~parent st_coins in
   (* component tag = the separating cut node's sample (root component: a
      fresh pseudo-tag derived from the run randomness) *)
-  let root_tag = Bits.random (Rng.split rng 5) nb in
+  let root_tag = Bits.random (Rng.split_string rng "root") nb in
   let comp_tag b =
     let s = rooted.Biconnectivity.separating.(b) in
     if s < 0 then root_tag else Option.value ~default:Bits.empty samples.(s)
@@ -124,8 +125,8 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
                   | None -> None)
             in
             Some
-              (Series_parallel_dip.run ~seed:(seed + (19 * b)) ~c ~param_n:n ~codec
-                 ~prover:comp_prover
+              (Series_parallel_dip.run ~seed:(Rng.derive seed ("block/" ^ string_of_int b)) ~c
+                 ~param_n:n ~codec ~prover:comp_prover
                  { Series_parallel_dip.graph = sub; ears })
           end
         end)

@@ -23,11 +23,13 @@ let split t salt =
    labels differing in a few low bits land in unrelated streams. *)
 let split_string t label =
   let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun ch -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) 0x100000001B3L)
-    label;
+  for i = 0 to String.length label - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code label.[i]))) 0x100000001B3L
+  done;
   let s = mix (Int64.add t.seed (mix !h)) in
   { state = s; seed = s }
+
+let derive seed label = Int64.to_int (split_string (create seed) label).seed
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

@@ -37,6 +37,16 @@ val split_string : t -> string -> t
     construction.  The QCheck suite in [test/test_util.ml] exercises both
     halves of this contract. *)
 
+val derive : int -> string -> int
+(** [derive seed label] is the seed of the stream
+    [split_string (create seed) label]: the seed of a sub-run named
+    [label] inside a run seeded [seed].  A composite protocol hands each
+    sub-run [~seed:(derive seed name)], with the name taken from the
+    sub-run's place in the reduction (["lr"], ["block/3"], ["ear/12"]),
+    never an offset added to [seed]: distinct names give independent
+    seeds, none of them [seed] itself (the test suite checks both for
+    the names the protocols use). *)
+
 val bits64 : t -> int64
 val bool : t -> bool
 

@@ -193,6 +193,28 @@ let test_rng () =
     "toplevel stream allowed inside lib/util/rng.ml" []
     (rules_of (Lint.lint_source ~filename:"lib/util/rng.ml" "let default = Rng.create 0"))
 
+(* Coins by name: under protocols/ and dip/ a seed or a salt names the
+   stream; an offset added to a seed, or a literal salt, is flagged. *)
+let test_rng_offsets () =
+  (* a protocols/ file is also held to the budget rule; only rng matters here *)
+  let rng_in ?(dir = "lib/protocols") src =
+    List.mem "rng" (rules_of (Lint.lint_source ~filename:(dir ^ "/fixture.ml") src))
+  in
+  let fires what src = Alcotest.(check bool) (what ^ ": rng fires") true (rng_in src) in
+  let clean what src = Alcotest.(check bool) (what ^ ": rng silent") false (rng_in src) in
+  fires "seed offset in Rng.create" "let run seed = Rng.create (seed + 211)";
+  fires "seed arithmetic in a ~seed: argument" "let run seed b = Sub.run ~seed:(seed + (13 * b)) ()";
+  fires "literal salt" "let draw rng v = Rng.split rng (700 + v)";
+  fires "bare literal salt" "let draw rng = Rng.split rng 1";
+  Alcotest.(check bool) "dip/ is in scope" true (rng_in ~dir:"lib/dip" "let run ~seed = Rng.create (seed * 31 + 17)");
+  clean "named sub-run seed" "let run seed = Sub.run ~seed:(Rng.derive seed \"lr\") ()";
+  clean "indexed sub-run name" "let run seed b = Sub.run ~seed:(Rng.derive seed (\"block/\" ^ string_of_int b)) ()";
+  clean "per-node draw from a role stream" "let draw tag v = Rng.split tag v";
+  clean "node id read from an array" "let draw st back = Rng.split st back.(0)";
+  (* outside protocols/ and dip/ (the engine, the generators) offsets are
+     not coin names *)
+  check_clean "offsets outside the coin scope" "let trial seed = Rng.create (seed + 7919)"
+
 (* ---- hygiene ---------------------------------------------------------- *)
 
 let test_obj_magic () =
@@ -348,6 +370,7 @@ let () =
       ( "hygiene",
         [
           Alcotest.test_case "rng discipline" `Quick test_rng;
+          Alcotest.test_case "rng: coins by name" `Quick test_rng_offsets;
           Alcotest.test_case "obj magic" `Quick test_obj_magic;
           Alcotest.test_case "poly compare" `Quick test_poly_compare;
           Alcotest.test_case "partial stdlib" `Quick test_partial;

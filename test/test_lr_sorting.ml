@@ -234,6 +234,38 @@ let test_retained_transcript () =
   in
   Alcotest.(check int) "transcript agrees with meter" r.Lr_sorting.stats.Dip.proof_size_bits max_bits
 
+(* Round-2 coins come from one named stream per role (r, r', r_b), drawn
+   per node.  Relabel an instance so that the leftmost node is n - 1 and
+   block 1's leader is n - 2: a salt scheme such as r at 2l and r_b at
+   n + v gives both the same stream, so r_b would equal r at every seed. *)
+let test_round2_roles_independent () =
+  let n = 200 in
+  let pa = Lr_sorting.Params.make n in
+  let b = pa.Lr_sorting.Params.block in
+  let path, arcs = Gen.lr_yes ~n 4 in
+  let pi = Array.init n Fun.id in
+  let swap a c =
+    let t = pi.(a) in
+    pi.(a) <- pi.(c);
+    pi.(c) <- t
+  in
+  swap path.(0) (n - 1);
+  swap path.(b) (n - 2);
+  let inst =
+    { Lr_sorting.n; path = Array.map (fun v -> pi.(v)) path; arcs = List.map (fun (u, v) -> (pi.(u), pi.(v))) arcs }
+  in
+  Alcotest.(check (pair int int)) "leftmost and block-1 leader" (n - 1, n - 2) (inst.path.(0), inst.path.(b));
+  let wp = Fp.bit_width pa.Lr_sorting.Params.p in
+  for seed = 1 to 20 do
+    let r = Lr_sorting.run ~seed ~retain:true ~prover:Lr_sorting.Honest inst in
+    match r.Lr_sorting.transcript with
+    | _ :: (Dip.Verifier_phase, coins) :: _ ->
+        let r_coin = Bits.to_int (Bits.sub coins.(n - 1) ~pos:0 ~len:wp) in
+        let rb_coin = Bits.to_int coins.(n - 2) in
+        Alcotest.(check bool) (Printf.sprintf "seed %d: r_b of block 1 differs from r" seed) true (rb_coin <> r_coin)
+    | _ -> Alcotest.fail "round 2 is a verifier round"
+  done
+
 let () =
   Alcotest.run "lr_sorting"
     [
@@ -275,6 +307,7 @@ let () =
           Alcotest.test_case "c parameter" `Quick test_soundness_c_parameter;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "retained transcript" `Quick test_retained_transcript;
+          Alcotest.test_case "round-2 roles draw independent coins" `Quick test_round2_roles_independent;
           qtest prop_soundness_random_adversary_choice;
         ] );
     ]

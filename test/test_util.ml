@@ -348,6 +348,46 @@ let prop_split_string_stable =
       done;
       Rng.bits64 (Rng.split_string fresh key) = Rng.bits64 (Rng.split_string consumed key))
 
+(* The label hash walks the string in place: a longer label costs no
+   words, so naming a stream by a long key is as cheap as by a short one. *)
+let test_split_string_alloc () =
+  let base = Rng.create 7 in
+  let per_call key =
+    Alloc.words_of (fun () ->
+        for _ = 1 to 1000 do
+          ignore (Sys.opaque_identity (Rng.split_string base key))
+        done)
+    /. 1000.
+  in
+  let short = per_call "r" and long = per_call (String.make 64 'x') in
+  if long > short then Alcotest.failf "split_string: %.2f words for a 64-byte key > %.2f for one byte" long short
+
+(* ---- derive: sub-run seeds named by their place in the reduction ---- *)
+
+let prop_derive_distinct =
+  QCheck.Test.make ~name:"rng: derive is distinct across keys and differs from the seed" ~count:200
+    QCheck.(pair int (list_of_size (Gen.int_range 1 40) key_gen))
+    (fun (seed, keys) ->
+      let keys = List.sort_uniq String.compare keys in
+      let seeds = List.map (Rng.derive seed) keys in
+      List.length (List.sort_uniq Int.compare seeds) = List.length keys && not (List.mem seed seeds))
+
+(* The names the composite protocols use, at the seeds the tests and the
+   corpus run: no two sub-runs of one run share a seed. *)
+let test_derive_reduction_names () =
+  let names =
+    [ "lr"; "h"; "embedding" ]
+    @ List.init 2048 (fun b -> "block/" ^ string_of_int b)
+    @ List.init 2048 (fun j -> "ear/" ^ string_of_int j)
+  in
+  for seed = 0 to 50 do
+    let seeds = List.map (Rng.derive seed) names in
+    Alcotest.(check int)
+      (Printf.sprintf "distinct sub-run seeds at seed %d" seed)
+      (List.length names)
+      (List.length (List.sort_uniq Int.compare (seed :: seeds)) - 1)
+  done
+
 (* ---- Sha256 --------------------------------------------------------- *)
 
 let test_sha256_vectors () =
@@ -485,6 +525,9 @@ let () =
           qtest prop_split_string_empty_vs_any;
           qtest prop_split_string_prefix_keys;
           qtest prop_split_string_stable;
+          Alcotest.test_case "split_string allocation flat in key length" `Quick test_split_string_alloc;
+          qtest prop_derive_distinct;
+          Alcotest.test_case "derive: reduction names distinct" `Quick test_derive_reduction_names;
         ] );
       ( "sha256",
         [
