@@ -14,53 +14,54 @@ let create graph rot =
 
 let default graph = { graph; rot = Array.init (Graph.n graph) (fun v -> Array.copy (Graph.neighbors graph v)) }
 
-let index_of a x =
-  let rec go i = if a.(i) = x then i else go (i + 1) in
-  go 0
+(* Darts leaving v are numbered offset.(v) .. offset.(v + 1) - 1 in the
+   order of v's sorted neighbour row; [at.(d)] is dart d's place in v's
+   rotation.  One pass over the darts, O(n + m), with a scratch array
+   mapping a neighbour to its slot in the current row.  Returns the
+   offsets and the lookup [index]. *)
+let dart_table t =
+  let g = t.graph in
+  let n = Graph.n g in
+  let offset = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    offset.(v + 1) <- offset.(v) + Graph.degree g v
+  done;
+  let slot = Array.make n 0 and at = Array.make offset.(n) 0 in
+  for v = 0 to n - 1 do
+    let row = Graph.neighbors g v and r = t.rot.(v) in
+    for s = 0 to Array.length row - 1 do
+      slot.(row.(s)) <- s
+    done;
+    for j = 0 to Array.length r - 1 do
+      at.(offset.(v) + slot.(r.(j))) <- j
+    done
+  done;
+  (offset, fun v u -> at.(offset.(v) + Graph.neighbor_slot g v u))
 
-let next_around t ~v ~after =
-  let r = t.rot.(v) in
-  let k = Array.length r in
-  r.((index_of r after + 1) mod k)
-
-let prev_around t ~v ~after =
-  let r = t.rot.(v) in
-  let k = Array.length r in
-  r.((index_of r after + k - 1) mod k)
+let index t = snd (dart_table t)
 
 let faces t =
   let n = Graph.n t.graph in
-  (* Dart id: position of the dart (u -> v) as index j into rot.(u). *)
-  let offset = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    offset.(v + 1) <- offset.(v) + Array.length t.rot.(v)
-  done;
-  let dart_id u j = offset.(u) + j in
+  let offset, index = dart_table t in
   let visited = Array.make offset.(n) false in
   let out = ref [] in
   for u = 0 to n - 1 do
-    Array.iteri
-      (fun j _ ->
-        if not (visited.(dart_id u j)) then begin
-          let walk = ref [] in
-          let cu = ref u and cj = ref j in
-          let continue = ref true in
-          while !continue do
-            visited.(dart_id !cu !cj) <- true;
-            let v = t.rot.(!cu).(!cj) in
-            walk := (!cu, v) :: !walk;
-            (* next dart: at v, the successor of [cu] in rotation *)
-            let r = t.rot.(v) in
-            let k = Array.length r in
-            let i = index_of r !cu in
-            let nj = (i + 1) mod k in
-            cu := v;
-            cj := nj;
-            if visited.(dart_id !cu !cj) then continue := false
-          done;
-          out := List.rev !walk :: !out
-        end)
-      t.rot.(u)
+    for j = 0 to Array.length t.rot.(u) - 1 do
+      if not visited.(offset.(u) + j) then begin
+        (* darts are visited by rotation place: (u, j) leaves u towards
+           rot.(u).(j) *)
+        let walk = ref [] and cu = ref u and cj = ref j in
+        while not visited.(offset.(!cu) + !cj) do
+          visited.(offset.(!cu) + !cj) <- true;
+          let v = t.rot.(!cu).(!cj) in
+          walk := (!cu, v) :: !walk;
+          (* next dart: at v, the successor of cu in the rotation *)
+          cj := (index v !cu + 1) mod Array.length t.rot.(v);
+          cu := v
+        done;
+        out := List.rev !walk :: !out
+      end
+    done
   done;
   List.rev !out
 

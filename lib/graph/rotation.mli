@@ -22,16 +22,19 @@ val default : Graph.t -> t
 (** Rotation = sorted neighbor order (an arbitrary, usually non-planar,
     embedding). *)
 
-val next_around : t -> v:int -> after:int -> int
-(** The neighbor following [after] in the clockwise order at [v]. *)
-
-val prev_around : t -> v:int -> after:int -> int
+val index : t -> int -> int -> int
+(** [index t] builds, in O(n + m), the table of every dart's place in its
+    rotation and returns the lookup: [index t v u] is the position of [u]
+    in [t.rot.(v)], for [uv] an edge, found by a binary search for [u]'s
+    slot in [v]'s sorted neighbour row.  Apply it to [t] once and reuse
+    the lookup. *)
 
 val faces : t -> (int * int) list list
 (** The face walks: every dart (directed edge) appears in exactly one walk.
     The walk following dart [(u, v)] continues with [(v, w)] where [w] is
     the successor of [u] in the clockwise order at [v] (face tracing to the
-    left of each dart). *)
+    left of each dart).  Each step reads the {!index} table: O(m log
+    Delta) in all, where a scan of the rotation cost O(sum of deg^2). *)
 
 val face_count : t -> int
 (** The number of face walks, plus one face for every node without

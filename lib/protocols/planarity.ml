@@ -26,11 +26,7 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
      node labels via Lemma 2.4: O(log Delta) bits per node. *)
   let el = Edge_labels.create g in
   let wd = bits_for (max 1 (Graph.max_degree g - 1)) in
-  let rho_index v u =
-    let r = rot.Rotation.rot.(v) in
-    let rec find i = if r.(i) = u then i else find (i + 1) in
-    find 0
-  in
+  let rho_index = Rotation.index rot in
   let lenc = Bounds.label_encoder codec "planarity" ~n ~delta:(Graph.max_degree g) in
   let edge_label (u, v) =
     Bits_flat.Enc.reset lenc;
@@ -51,18 +47,18 @@ let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover
   (* Each node reconstructs its clockwise order from the rho values it can
      read (all its incident edges' labels) and checks they form a
      permutation of 0..deg-1; then the embedded-planarity protocol runs. *)
+  let rho_read = Array.init n (fun v -> Array.map (rho_index v) (Graph.neighbors g v)) in
   let perm_ok =
     Dip.all_accept ~n (fun v ->
         let seen = Array.make (Graph.degree g v) false in
         Array.for_all
-          (fun u ->
-            let i = rho_index v u in
+          (fun i ->
             if i < Array.length seen && not seen.(i) then begin
               seen.(i) <- true;
               true
             end
             else false)
-          (Graph.neighbors g v))
+          rho_read.(v))
   in
   let inner_prover : Planar_embedding.prover =
     match prover with Honest -> Planar_embedding.Honest | Best_rotation -> Planar_embedding.Crossing_sweep

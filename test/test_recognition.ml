@@ -30,6 +30,66 @@ let test_isolated_nodes () =
   Alcotest.(check int) "K4 + node: genus 0" 0 (Rotation.euler_genus rot);
   Alcotest.(check bool) "K4 + node: planar" true (Rotation.is_planar_embedding rot)
 
+(* The face walk as it was written before the dart table: each successor
+   found by a linear scan of the rotation row, O(sum of deg^2).  The
+   reference for [Rotation.faces]. *)
+let reference_faces (t : Rotation.t) =
+  let n = Graph.n t.graph in
+  let index_of a x =
+    let rec go i = if a.(i) = x then i else go (i + 1) in
+    go 0
+  in
+  let offset = Array.make (n + 1) 0 in
+  for v = 0 to n - 1 do
+    offset.(v + 1) <- offset.(v) + Array.length t.rot.(v)
+  done;
+  let visited = Array.make offset.(n) false in
+  let out = ref [] in
+  for u = 0 to n - 1 do
+    Array.iteri
+      (fun j _ ->
+        if not visited.(offset.(u) + j) then begin
+          let walk = ref [] and cu = ref u and cj = ref j and continue = ref true in
+          while !continue do
+            visited.(offset.(!cu) + !cj) <- true;
+            let v = t.rot.(!cu).(!cj) in
+            walk := (!cu, v) :: !walk;
+            let r = t.rot.(v) in
+            cj := (index_of r !cu + 1) mod Array.length r;
+            cu := v;
+            if visited.(offset.(!cu) + !cj) then continue := false
+          done;
+          out := List.rev !walk :: !out
+        end)
+      t.rot.(u)
+  done;
+  List.rev !out
+
+(* Random graphs (possibly disconnected, with isolated nodes) under random
+   rotations: the same walks, in the same order, as the reference. *)
+let prop_faces_reference =
+  QCheck.Test.make ~name:"rotation: faces equals the scanning reference" ~count:200
+    QCheck.(pair (int_bound 100000) (int_range 1 40))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let edges =
+        List.filter_map
+          (fun _ ->
+            let u = Rng.int rng n and v = Rng.int rng n in
+            if u = v then None else Some (u, v))
+          (List.init (Rng.int rng ((3 * n) + 1)) Fun.id)
+      in
+      let g = Graph.create ~n edges in
+      let rot = Rotation.default g in
+      Array.iter (Rng.shuffle rng) rot.Rotation.rot;
+      Rotation.faces rot = reference_faces rot)
+
+(* A star's rotation has one face however it is ordered; the scan took
+   quadratic time in the centre's degree (6.9 s at 40 000 leaves). *)
+let test_star_one_face () =
+  let rot = Rotation.default (Graph.star 100_001) in
+  Alcotest.(check int) "100 000-leaf star: one face" 1 (Rotation.face_count rot)
+
 let test_k4_embeddings () =
   (* K4 has exactly 2 of 16 parent-fixed rotation systems planar *)
   let g = Graph.complete 4 in
@@ -328,6 +388,8 @@ let () =
           Alcotest.test_case "K4 embeddings" `Quick test_k4_embeddings;
           Alcotest.test_case "validation" `Quick test_rotation_validation;
           Alcotest.test_case "corrupt swap" `Quick test_corrupt_swap_invalid;
+          qtest prop_faces_reference;
+          Alcotest.test_case "100 000-leaf star" `Quick test_star_one_face;
         ] );
       ( "planarity",
         [
