@@ -34,7 +34,7 @@ val faces : t -> (int * int) list list
     The walk following dart [(u, v)] continues with [(v, w)] where [w] is
     the successor of [u] in the clockwise order at [v] (face tracing to the
     left of each dart).  Each step reads the {!index} table: O(m log
-    Delta) in all, where a scan of the rotation cost O(sum of deg^2). *)
+    Delta) in all. *)
 
 val face_count : t -> int
 (** The number of face walks, plus one face for every node without

@@ -44,8 +44,7 @@ val derive : int -> string -> int
     sub-run [~seed:(derive seed name)], with the name taken from the
     sub-run's place in the reduction (["lr"], ["block/3"], ["ear/12"]),
     never an offset added to [seed]: distinct names give independent
-    seeds, none of them [seed] itself (the test suite checks both for
-    the names the protocols use). *)
+    seeds, none of them [seed] itself. *)
 
 val bits64 : t -> int64
 val bool : t -> bool

@@ -372,22 +372,6 @@ let prop_derive_distinct =
       let seeds = List.map (Rng.derive seed) keys in
       List.length (List.sort_uniq Int.compare seeds) = List.length keys && not (List.mem seed seeds))
 
-(* The names the composite protocols use, at the seeds the tests and the
-   corpus run: no two sub-runs of one run share a seed. *)
-let test_derive_reduction_names () =
-  let names =
-    [ "lr"; "h"; "embedding" ]
-    @ List.init 2048 (fun b -> "block/" ^ string_of_int b)
-    @ List.init 2048 (fun j -> "ear/" ^ string_of_int j)
-  in
-  for seed = 0 to 50 do
-    let seeds = List.map (Rng.derive seed) names in
-    Alcotest.(check int)
-      (Printf.sprintf "distinct sub-run seeds at seed %d" seed)
-      (List.length names)
-      (List.length (List.sort_uniq Int.compare (seed :: seeds)) - 1)
-  done
-
 (* ---- Sha256 --------------------------------------------------------- *)
 
 let test_sha256_vectors () =
@@ -527,7 +511,6 @@ let () =
           qtest prop_split_string_stable;
           Alcotest.test_case "split_string allocation flat in key length" `Quick test_split_string_alloc;
           qtest prop_derive_distinct;
-          Alcotest.test_case "derive: reduction names distinct" `Quick test_derive_reduction_names;
         ] );
       ( "sha256",
         [
