@@ -66,6 +66,13 @@ let prop_nonplanar_invalid =
       let g = Gen.nonplanar ~n seed in
       Traversal.is_connected g && not (Planar_test.is_planar g))
 
+let prop_nonplanar_k33_invalid =
+  QCheck.Test.make ~name:"gen: nonplanar_k33 is non-planar but connected" ~count:20
+    QCheck.(pair (int_bound 100000) (int_range 25 60))
+    (fun (seed, n) ->
+      let g = Fixtures.nonplanar_k33 ~n seed in
+      Traversal.is_connected g && not (Planar_test.is_planar g))
+
 let prop_maximal_outerplanar_gen =
   QCheck.Test.make ~name:"gen: maximal_outerplanar has m = 2n-3" ~count:20
     QCheck.(pair (int_bound 100000) (int_range 4 40))
@@ -187,6 +194,7 @@ let () =
           qtest prop_planar_valid;
           qtest prop_planar_bounded_degree;
           qtest prop_nonplanar_invalid;
+          qtest prop_nonplanar_k33_invalid;
           qtest prop_maximal_outerplanar_gen;
           qtest prop_embedding_valid;
           qtest prop_corrupted_invalid;

@@ -1,4 +1,4 @@
-(* Graph I/O, topological sort and per-phase stats. *)
+(* Graph I/O, duals, topological sort, amplification and per-phase stats. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -99,6 +99,50 @@ let test_dot_output () =
      in
      contains dot "0 -- 1 [color=red, penwidth=2];" && contains dot "1 -- 2;")
 
+(* ---- dual graphs ----------------------------------------------------------- *)
+
+(* The dual multigraph collapsed to a simple graph: one node per face of
+   [Rotation.faces], an edge between two faces that share a primal edge
+   (self-loops from bridges and parallel duals are collapsed). *)
+let dual rot =
+  let fs = Rotation.faces rot in
+  let face_of = Hashtbl.create 16 in
+  List.iteri (fun i f -> List.iter (fun d -> Hashtbl.replace face_of d i) f) fs;
+  let edges =
+    Graph.fold_edges
+      (fun (u, v) acc ->
+        let f1 = Hashtbl.find face_of (u, v) and f2 = Hashtbl.find face_of (v, u) in
+        if f1 <> f2 then (f1, f2) :: acc else acc)
+      rot.Rotation.graph []
+  in
+  Graph.create ~n:(List.length fs) edges
+
+let test_dual_cube () =
+  (* the 3-cube: 8 nodes, 12 edges, 6 faces; its dual is the octahedron *)
+  let cube =
+    Graph.create ~n:8
+      [ (0,1);(1,2);(2,3);(3,0);(4,5);(5,6);(6,7);(7,4);(0,4);(1,5);(2,6);(3,7) ]
+  in
+  match Planar_test.embed cube with
+  | None -> Alcotest.fail "cube is planar"
+  | Some rot ->
+      let d = dual rot in
+      Alcotest.(check int) "6 dual nodes" 6 (Graph.n d);
+      Alcotest.(check int) "12 dual edges" 12 (Graph.m d);
+      Alcotest.(check bool) "dual planar" true (Planar_test.is_planar d);
+      Alcotest.(check int) "octahedron degrees" 4 (Graph.max_degree d)
+
+let prop_dual_planar =
+  QCheck.Test.make ~name:"dual: dual of a planar embedding is planar and connected" ~count:25
+    QCheck.(pair (int_bound 10000) (int_range 8 50))
+    (fun (seed, n) ->
+      let g = Gen.planar ~n seed in
+      match Planar_test.embed g with
+      | Some rot ->
+          let d = dual rot in
+          Traversal.is_connected d && Planar_test.is_planar d
+      | None -> false)
+
 (* ---- topological sort -------------------------------------------------------- *)
 
 let test_topo_sort_dag () =
@@ -124,6 +168,62 @@ let prop_lr_instances_vs_topo =
       let d = Digraph.create ~n (path_arcs @ arcs) in
       Lr_sorting.is_yes_instance inst = Digraph.is_acyclic d)
 
+(* ---- amplification -------------------------------------------------------------- *)
+
+let test_amplify_completeness () =
+  let g, w = Gen.path_outerplanar ~n:60 1 in
+  let a =
+    Amplify.run ~reps:3 ~seed:5
+      ~run:(fun ~seed ->
+        Path_outerplanarity.run ~seed ~prover:Path_outerplanarity.Honest
+          { Path_outerplanarity.graph = g; witness = Some w })
+      ~verdict:(fun r -> r.Path_outerplanarity.verdict)
+      ~stats:(fun r -> r.Path_outerplanarity.stats)
+  in
+  Alcotest.(check bool) "accepts" true a.Amplify.verdict.Dip.accepted;
+  Alcotest.(check int) "3 runs" 3 a.Amplify.accepting_runs;
+  Alcotest.(check int) "rounds unchanged" 5 a.Amplify.stats.Dip.interaction_rounds
+
+let test_amplify_soundness_boost () =
+  (* single-run escapes vs amplified escapes of the weak ST verification *)
+  let bad_parent = Array.init 30 (fun v -> if v = 0 || v = 15 then -1 else v - 1) in
+  let g = Graph.path_graph 30 in
+  let escapes reps =
+    let e = ref 0 in
+    for seed = 0 to 49 do
+      let a =
+        Amplify.run ~reps ~seed
+          ~run:(fun ~seed -> Spanning_tree_verify.run ~seed ~reps:1 g ~parent:bad_parent)
+          ~verdict:fst ~stats:snd
+      in
+      if a.Amplify.verdict.Dip.accepted then incr e
+    done;
+    !e
+  in
+  let e1 = escapes 1 and e4 = escapes 4 in
+  Alcotest.(check bool) "amplification reduces escapes" true (e4 <= e1);
+  Alcotest.(check int) "no escapes at 4 reps" 0 e4
+
+let test_amplify_stats_add () =
+  let g, w = Gen.path_outerplanar ~n:40 2 in
+  let one =
+    (Path_outerplanarity.run ~seed:3 ~prover:Path_outerplanarity.Honest
+       { Path_outerplanarity.graph = g; witness = Some w })
+      .Path_outerplanarity.stats
+  in
+  let a =
+    Amplify.run ~reps:4 ~seed:3
+      ~run:(fun ~seed ->
+        Path_outerplanarity.run ~seed ~prover:Path_outerplanarity.Honest
+          { Path_outerplanarity.graph = g; witness = Some w })
+      ~verdict:(fun r -> r.Path_outerplanarity.verdict)
+      ~stats:(fun r -> r.Path_outerplanarity.stats)
+  in
+  Alcotest.(check int) "proof sizes add" (4 * one.Dip.proof_size_bits) a.Amplify.stats.Dip.proof_size_bits
+
+let test_amplify_error_formula () =
+  Alcotest.(check (float 1e-9)) "error" 0.001 (Amplify.soundness_error ~single:0.1 ~reps:3)
+
 (* ---- per-phase stats ---------------------------------------------------------- *)
 
 let test_per_phase_shape () =
@@ -141,7 +241,7 @@ let test_per_phase_shape () =
     (max_phase >= r.Lr_sorting.stats.Dip.proof_size_bits)
 
 let () =
-  Alcotest.run "io"
+  Alcotest.run "io_amplify"
     [
       ( "graph-io",
         [
@@ -157,11 +257,20 @@ let () =
           Alcotest.test_case "dot" `Quick test_dot_output;
           qtest prop_io_roundtrip;
         ] );
+      ( "dual",
+        [ Alcotest.test_case "cube/octahedron" `Quick test_dual_cube; qtest prop_dual_planar ] );
       ( "topological-sort",
         [
           Alcotest.test_case "dag" `Quick test_topo_sort_dag;
           Alcotest.test_case "cycle" `Quick test_topo_sort_cycle;
           qtest prop_lr_instances_vs_topo;
+        ] );
+      ( "amplify",
+        [
+          Alcotest.test_case "completeness" `Quick test_amplify_completeness;
+          Alcotest.test_case "soundness boost" `Quick test_amplify_soundness_boost;
+          Alcotest.test_case "stats add" `Quick test_amplify_stats_add;
+          Alcotest.test_case "error formula" `Quick test_amplify_error_formula;
         ] );
       ("per-phase", [ Alcotest.test_case "shape" `Quick test_per_phase_shape ]);
     ]

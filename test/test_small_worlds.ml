@@ -276,20 +276,6 @@ let random_graph ~n seed =
          if u = v then None else Some (u, v))
        (List.init m Fun.id))
 
-(* A planar base on n - 15 nodes with a once-subdivided K3,3 attached to
-   node 0, the other Kuratowski obstruction next to Gen.nonplanar's K5. *)
-let nonplanar_k33 ~n seed =
-  let base = n - 15 in
-  let g = Gen.planar ~n:base seed in
-  let edges = ref [ (0, base) ] and mid = ref (base + 6) in
-  for i = 0 to 2 do
-    for j = 0 to 2 do
-      edges := (base + i, !mid) :: (base + 3 + j, !mid) :: !edges;
-      incr mid
-    done
-  done;
-  Graph.create ~n (!edges @ Graph.edges g)
-
 (* Random graphs up to 40 nodes, and Gen's planar instances with a K5 or
    K3,3 subdivision spliced in: every rotation [embed] returns is planar,
    and every [None] is either over the edge bound m <= 3n - 6 or certified
@@ -301,7 +287,7 @@ let prop_embed_sound =
       let g =
         match kind with
         | 0 -> Gen.nonplanar ~n:(max 20 n) seed
-        | 1 -> nonplanar_k33 ~n:(max 22 n) seed
+        | 1 -> Fixtures.nonplanar_k33 ~n:(max 22 n) seed
         | _ -> random_graph ~n seed
       in
       let n = Graph.n g and m = Graph.m g in

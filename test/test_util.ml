@@ -441,6 +441,19 @@ let test_poly_multiset_order_invariance () =
   let f = Fp.create 211 in
   Alcotest.(check int) "order invariant" (Poly.eval f [ 4; 9; 9; 2 ] 17) (Poly.eval f [ 9; 2; 4; 9 ] 17)
 
+(* phi is multiplicative over multiset union: the running products of the
+   groups' evaluations are the evaluations of their unions, the "aggregate
+   up the path" shape of the in-block multiset-equality executions. *)
+let test_poly_prefixes () =
+  let f = Fp.create 211 in
+  let groups = [ [ 1; 2 ]; []; [ 3 ]; [ 4; 5 ] ] in
+  let acc = ref 1 in
+  let p = Array.of_list (List.map (fun group -> acc := Fp.mul f !acc (Poly.eval f group 7); !acc) groups) in
+  Alcotest.(check int) "prefix 0" (Poly.eval f [ 1; 2 ] 7) p.(0);
+  Alcotest.(check int) "prefix 1" p.(0) p.(1);
+  Alcotest.(check int) "prefix 2" (Poly.eval f [ 1; 2; 3 ] 7) p.(2);
+  Alcotest.(check int) "prefix 3" (Poly.eval f [ 1; 2; 3; 4; 5 ] 7) p.(3)
+
 let prop_poly_identity_testing =
   QCheck.Test.make ~name:"poly: distinct multisets collide rarely" ~count:100
     QCheck.(list_of_size (QCheck.Gen.int_range 1 8) (int_bound 30))
@@ -530,6 +543,7 @@ let () =
         [
           Alcotest.test_case "eval" `Quick test_poly_eval;
           Alcotest.test_case "multiset order invariance" `Quick test_poly_multiset_order_invariance;
+          Alcotest.test_case "prefixes" `Quick test_poly_prefixes;
           qtest prop_poly_identity_testing;
         ] );
       ("json", [ Alcotest.test_case "escape" `Quick test_json_escape ]);
