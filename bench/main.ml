@@ -371,7 +371,10 @@ let ablation () =
    Note it bounds the per-phase label width, not the parallel-composition
    sum Dip.check_budget measures — sub-protocol sums stay a runtime
    matter, so inferred <= claimed while measured may exceed inferred. *)
-let refine_program = lazy (try Some (Dipp_analysis.Typed_scan.load_tree "lib") with _ -> None)
+let refine_program =
+  lazy
+    (Dipp_analysis.Typed_scan.load_files
+       (if Sys.file_exists "lib" then Dipp_analysis.Ast_scan.ml_files [ "lib" ] else []))
 
 let refine_interval =
   let cache = Hashtbl.create 16 in
@@ -379,18 +382,17 @@ let refine_interval =
     match Hashtbl.find_opt cache id with
     | Some r -> r
     | None ->
+        let program = Lazy.force refine_program in
         let r =
-          let candidates = [ "lib/protocols/" ^ id ^ ".ml"; "lib/baselines/" ^ id ^ ".ml" ] in
-          match (Lazy.force refine_program, List.find_opt Sys.file_exists candidates) with
-          | Some program, Some file -> (
-              try
-                let src = In_channel.with_open_bin file In_channel.input_all in
-                let structure = Dipp_analysis.Ast_scan.parse_file file in
-                let annots = Dipp_analysis.Refine.annotations_of_source src in
-                let res = Dipp_analysis.Refine.analyze ~program ~annots ~filename:file structure in
-                Some (res.Dipp_analysis.Refine.label_lo, res.Dipp_analysis.Refine.label_hi)
-              with _ -> None)
-          | _ -> None
+          List.find_map
+            (fun path ->
+              match Dipp_analysis.Typed_scan.find_file program path with
+              | Some { Dipp_analysis.Typed_scan.parsed = Ok structure; text; _ } ->
+                  let annots = Dipp_analysis.Refine.annotations_of_source text in
+                  let res = Dipp_analysis.Refine.analyze ~program ~annots ~filename:path structure in
+                  Some (res.Dipp_analysis.Refine.label_lo, res.Dipp_analysis.Refine.label_hi)
+              | Some _ | None -> None)
+            [ "lib/protocols/" ^ id ^ ".ml"; "lib/baselines/" ^ id ^ ".ml" ]
         in
         Hashtbl.replace cache id r;
         r

@@ -482,9 +482,7 @@ let net_run_cmd =
 
 let lb_cmd =
   let run n =
-    Printf.printf "n = %d (log2 = %d)\n" n
-      (let rec go w = if 1 lsl w >= n then w else go (w + 1) in
-       go 1);
+    Printf.printf "n = %d (log2 = %d)\n" n (Bounds.ceil_log2 n);
     Printf.printf "1-round soundness threshold:    %d bits\n" (Lower_bound.soundness_threshold ~n);
     Printf.printf "1-round completeness threshold: %d bits\n" (Lower_bound.completeness_threshold ~n);
     let path, arcs = Gen.lr_yes ~n 1 in

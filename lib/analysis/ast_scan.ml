@@ -1,16 +1,3 @@
-let parse_string ~filename src =
-  let lexbuf = Lexing.from_string src in
-  Location.init lexbuf filename;
-  Parse.implementation lexbuf
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_file path = parse_string ~filename:path (read_file path)
-
 (* Sorted, so every pass reports files in the same order; dotfiles and
    dune's [_build] are never source. *)
 let ml_files roots =

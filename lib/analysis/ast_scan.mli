@@ -1,17 +1,6 @@
-(** Parsing and shared AST plumbing for the lint rules.
-
-    Built on compiler-libs: sources are parsed with the compiler's own
-    parser, so anything that builds also lints, and locations match the
-    compiler's diagnostics exactly. *)
-
-val parse_string : filename:string -> string -> Parsetree.structure
-(** Parses an implementation; [filename] seeds the locations.  Raises the
-    compiler's located exceptions (e.g. [Syntaxerr.Error]) on bad input. *)
-
-val read_file : string -> string
-(** The whole file, bytes as on disk. *)
-
-val parse_file : string -> Parsetree.structure
+(** Shared AST plumbing for the lint rules: the [.ml] tree walk, ident
+    and pattern helpers, and the marker-comment scans.  Reading and
+    parsing files is {!Typed_scan}'s job. *)
 
 val ml_files : string list -> string list
 (** Every [.ml] under the roots (a root may itself be an [.ml] file), in

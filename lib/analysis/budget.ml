@@ -80,8 +80,8 @@ let sub_target lid =
 type local = Opaque | Body of Parsetree.expression * (string * local) list
 
 type state = {
-  program : Typed_scan.program option;
-  self : Typed_scan.program;
+  program : Typed_scan.program;
+  path : string;  (* the checked file: its own bindings resolve there *)
   self_mod : string;
   helpers : (string, ev list list) Hashtbl.t;  (* top-level fns, key "Mod.name" *)
   mods : (string, ph list option) Hashtbl.t;  (* expanded module schedules *)
@@ -91,6 +91,12 @@ type state = {
 let pattern_vars = Ast_scan.pattern_vars
 
 let opaque locals names = List.fold_left (fun ls x -> (x, Opaque) :: ls) locals names
+
+(* The checked module's own bindings come from its own file, so a module
+   name two files share never mixes them up. *)
+let lookup st ~m name =
+  if String.equal m st.self_mod then Typed_scan.lookup_in st.program ~path:st.path ~name
+  else Typed_scan.lookup st.program ~modname:m ~name
 
 let rec paths st ~m locals (e : Parsetree.expression) : ev list list =
   match e.pexp_desc with
@@ -215,12 +221,8 @@ and call_paths st ~m locals f =
       | None ->
           Hashtbl.replace st.helpers key one;
           (* recursion guard *)
-          let entry =
-            if String.equal m st.self_mod then Typed_scan.lookup st.self ~modname:m ~name:f
-            else Option.bind st.program (fun p -> Typed_scan.lookup p ~modname:m ~name:f)
-          in
           let ps =
-            match entry with
+            match lookup st ~m f with
             | None -> one
             | Some (en : Typed_scan.entry) ->
                 paths st ~m (opaque [ (f, Opaque) ] en.params) en.body
@@ -231,13 +233,9 @@ and call_paths st ~m locals f =
 (* ---- schedule merging ------------------------------------------------- *)
 
 let run_paths st m =
-  let entry =
-    if String.equal m st.self_mod then Typed_scan.lookup st.self ~modname:m ~name:"run"
-    else Option.bind st.program (fun p -> Typed_scan.lookup p ~modname:m ~name:"run")
-  in
   Option.map
     (fun (en : Typed_scan.entry) -> paths st ~m (opaque [ ("run", Opaque) ] en.params) en.body)
-    entry
+    (lookup st ~m "run")
 
 type merge_result =
   | Consistent of ph list * bool  (** merged schedule, [true] if an unresolved sub remains *)
@@ -304,14 +302,15 @@ let run_binding_loc structure =
       | _ -> None)
     structure
 
-let check_structure ?program ?declared ~require_declared ~modname structure =
+let check_structure ~program ?declared ~require_declared ~filename structure =
   match run_binding_loc structure with
   | None -> []
   | Some loc -> (
+      let modname = Typed_scan.module_name filename in
       let st =
         {
           program;
-          self = Typed_scan.of_structure ~modname structure;
+          path = filename;
           self_mod = modname;
           helpers = Hashtbl.create 16;
           mods = Hashtbl.create 8;

@@ -35,14 +35,15 @@ val render : ph list -> string
 (** ["P-V-P-V-P"]; ["(no phases)"] when empty. *)
 
 val check_structure :
-  ?program:Typed_scan.program ->
+  program:Typed_scan.program ->
   ?declared:declared ->
   require_declared:bool ->
-  modname:string ->
+  filename:string ->
   Parsetree.structure ->
   Report.finding list
-(** Checks one module.  [program] resolves sub-protocol and cross-module
-    helper calls; without it, unresolved subs make the exactness check
-    lenient rather than noisy.  [declared] is the registry row for this
-    module, if any; [require_declared] demands one whenever [run]
-    records phases (set for [lib/protocols] and [lib/baselines]). *)
+(** Checks the module loaded under [filename] ([structure] is its parse).
+    [program] resolves sub-protocol and cross-module helper calls, and the
+    module's own helpers from its own file; an unresolved sub makes the
+    exactness check lenient rather than noisy.  [declared] is the registry
+    row for this module, if any; [require_declared] demands one whenever
+    [run] records phases (set for [lib/protocols] and [lib/baselines]). *)

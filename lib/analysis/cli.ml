@@ -12,35 +12,34 @@ let renderer = function
 
 (* The proved-safe listings: every site a pass proved (or trusts) safe,
    one `file:line:col: [tag] proof` line each, then a total.  [sites]
-   runs the pass over one parsed file given its source text. *)
+   runs the pass over one parsed file of the program. *)
 let print_safe_listing out roots ~tag ~total sites =
-  let files = Ast_scan.ml_files roots in
-  let program = Typed_scan.load_files files in
+  let program = Typed_scan.load_files (Ast_scan.ml_files roots) in
   let count = ref 0 in
   List.iter
-    (fun file ->
-      match Ast_scan.parse_file file with
-      | exception _ -> ()
-      | structure ->
+    (fun (file : Typed_scan.file) ->
+      match file.parsed with
+      | Error _ -> ()
+      | Ok structure ->
           List.iter
             (fun (sfile, line, col, desc) ->
               incr count;
               Format.fprintf out "%s:%d:%d: [%s] %s@." sfile line col tag desc)
-            (sites ~program ~src:(Ast_scan.read_file file) ~filename:file structure))
-    files;
+            (sites ~program file structure))
+    (Typed_scan.files program);
   Format.fprintf out "%d %s proved safe@." !count total
 
-let refine_sites ~program ~src ~filename structure =
-  let annots = Refine.annotations_of_source src in
+let refine_sites ~program (file : Typed_scan.file) structure =
+  let annots = Refine.annotations_of_source file.text in
   List.map
     (fun (s : Refine.safe) -> (s.sfile, s.sline, s.scol, s.sdesc))
-    (Refine.analyze ~program ~annots ~filename structure).safe
+    (Refine.analyze ~program ~annots ~filename:file.path structure).safe
 
-let race_sites ~program ~src ~filename structure =
-  let annots = Race.annotations_of_source src in
+let race_sites ~program (file : Typed_scan.file) structure =
+  let annots = Race.annotations_of_source file.text in
   List.map
     (fun (s : Race.safe) -> (s.rfile, s.rline, s.rcol, s.rdesc))
-    (Race.analyze ~program ~annots ~filename structure).safe
+    (Race.analyze ~program ~annots ~filename:file.path structure).safe
 
 let run ?(out = Format.std_formatter) ?(err = Format.err_formatter) argv =
   let paths = ref [] and selected = ref [] and list_rules = ref false in
@@ -103,13 +102,7 @@ let run ?(out = Format.std_formatter) ?(err = Format.err_formatter) argv =
                   race_sites;
                 0
             | None -> (
-                let findings =
-                  List.concat_map
-                    (fun root ->
-                      if Sys.is_directory root then Lint_rules.lint_tree root
-                      else Lint_rules.lint_file root)
-                    roots
-                in
+                let findings = Lint_rules.lint_paths roots in
                 let findings =
                   match !selected with
                   | [] -> findings

@@ -22,4 +22,5 @@ val run : ?out:Format.formatter -> ?err:Format.formatter -> string array -> int
     line each, instead of findings), [--format text|json|sarif]
     ({!Report.pp_report}, {!Report.pp_json}, {!Report.pp_sarif}).  Paths
     may be [.ml] files or directories (recursive); the default is
-    [./lib]. *)
+    [./lib].  Every path is loaded into one {!Typed_scan.program}, read
+    and parsed once, which the lint run or the listing reads. *)

@@ -49,7 +49,7 @@ type summary = { base : taint; flags : Report.finding list }
 type binding = Val of taint | Store of store | Fn of summary
 
 type ctx = {
-  prog : Typed_scan.program option;
+  prog : Typed_scan.program;
   stores : (Location.t, store) Hashtbl.t;  (* binding site -> tracked cell *)
   xsums : (string, taint) Hashtbl.t;  (* memoized cross-module bases *)
 }
@@ -432,21 +432,21 @@ and summarize ctx env ~self params body =
    module's free top-levels are its own state, not this function's outer
    scope), memoized with a Local placeholder as the recursion guard. *)
 and qualified_base ctx txt =
-  match (ctx.prog, Ast_scan.last_two txt) with
-  | Some prog, Some (m, f) -> (
+  match Ast_scan.last_two txt with
+  | Some (m, f) -> (
       let key = m ^ "." ^ f in
       match Hashtbl.find_opt ctx.xsums key with
       | Some t -> t
       | None -> (
           Hashtbl.replace ctx.xsums key Local;
-          match Typed_scan.lookup prog ~modname:m ~name:f with
+          match Typed_scan.lookup ctx.prog ~modname:m ~name:f with
           | Some entry ->
               let sum = summarize ctx StrMap.empty ~self:f entry.params entry.body in
               let capped = if is_global sum.base then Neighbor_label else sum.base in
               Hashtbl.replace ctx.xsums key capped;
               capped
           | None -> Local))
-  | (Some _ | None), _ -> Local
+  | None -> Local
 
 (* ---- the decision-function driver -------------------------------------- *)
 
@@ -540,7 +540,7 @@ and outer_module ctx findings env (me : Parsetree.module_expr) =
   | Pmod_constraint (m, _) | Pmod_functor (_, m) -> outer_module ctx findings env m
   | _ -> ()
 
-let check ?program structure =
+let check ~program structure =
   let ctx = { prog = program; stores = Hashtbl.create 64; xsums = Hashtbl.create 64 } in
   let findings = ref [] in
   ignore (outer_structure ctx findings StrMap.empty structure);

@@ -26,9 +26,8 @@
 
     The analysis is interprocedural: let-bound helpers get summaries
     (result taint plus latent findings replayed at call sites), and
-    qualified calls resolve through a {!Typed_scan.program} when one is
-    supplied.  So a non-local id laundered through a local slot is still
-    caught:
+    qualified calls resolve through the {!Typed_scan.program}.  So a
+    non-local id laundered through a local slot is still caught:
 
     {[
       let verify v =
@@ -47,8 +46,8 @@ val is_decision_name : string -> bool
 (** [decide*], [verify*] or [*_check]: the bindings audited as decision
     functions (also by {!Refine}'s subscript re-proof). *)
 
-val check : ?program:Typed_scan.program -> Parsetree.structure -> Report.finding list
+val check : program:Typed_scan.program -> Parsetree.structure -> Report.finding list
 (** Runs the analysis over one implementation.  [program] supplies
     cross-module summaries for qualified calls (base taint only, capped
-    at [Neighbor_label]); without it qualified calls resolve to the
-    taint of their arguments. *)
+    at [Neighbor_label]); a call it does not resolve takes the taint of
+    its arguments. *)

@@ -324,30 +324,29 @@ let refine_declared filename =
     (fun (r : Dipp_protocols.Bounds.row) -> Refine.envelope_of_shape r.shape)
     (Dipp_protocols.Bounds.find base)
 
-let ast_findings ?program ~filename src =
-  match Ast_scan.parse_string ~filename src with
-  | structure ->
+let ast_findings ~program (file : Typed_scan.file) =
+  let filename = file.path in
+  match file.parsed with
+  | Ok structure ->
       let budget =
-        Budget.check_structure ?program
+        Budget.check_structure ~program
           ?declared:(budget_declared filename)
           ~require_declared:(budget_required filename)
-          ~modname:(Typed_scan.module_name filename) structure
+          ~filename structure
       in
-      let annots = Refine.annotations_of_source src in
+      let annots = Refine.annotations_of_source file.text in
       let refine =
         Refine.annotation_findings ~filename annots
-        @ Refine.check ?program ~annots
-            ?declared:(refine_declared filename)
-            ~filename structure
+        @ (Refine.analyze ~program ~annots ?declared:(refine_declared filename) ~filename structure)
+            .findings
       in
-      let rannots = Race.annotations_of_source src in
+      let rannots = Race.annotations_of_source file.text in
       let race =
         Race.annotation_findings ~filename rannots
-        @ Race.check ?program ~annots:rannots ~filename structure
+        @ (Race.analyze ~program ~annots:rannots ~filename structure).findings
       in
-      Flow.check ?program structure @ budget @ refine @ race
-      @ hygiene ~filename structure
-  | exception exn -> [ parse_error_finding ~filename exn ]
+      Flow.check ~program structure @ budget @ refine @ race @ hygiene ~filename structure
+  | Error exn -> [ parse_error_finding ~filename exn ]
 
 (* Applied after filtering, so a typo'd allow list cannot silence its
    own warning. *)
@@ -380,26 +379,32 @@ let apply_suppressions ~filename supp findings =
     findings
   @ validate_suppressions ~filename supp
 
-let lint_source ~filename src =
-  apply_suppressions ~filename (Ast_scan.suppressions_of_source src) (ast_findings ~filename src)
-
-let lint_source_in ~program ~filename src =
-  apply_suppressions ~filename (Ast_scan.suppressions_of_source src)
-    (ast_findings ~program ~filename src)
-
-let lint_file ?(check_mli = true) ?program path =
-  let src = Ast_scan.read_file path in
-  let supp = Ast_scan.suppressions_of_source src in
+(* The missing-mli check needs the file on disk, so only the paths
+   driver runs it. *)
+let lint ~program ~check_mli (file : Typed_scan.file) =
   let mli =
-    if check_mli && Filename.check_suffix path ".ml" && not (Sys.file_exists (path ^ "i")) then
-      [ { Report.file = path; line = 1; col = 0; rule = "missing-mli"; msg = "module has no .mli interface; write one to pin the public surface" } ]
+    if check_mli && not (Sys.file_exists (file.path ^ "i")) then
+      [
+        {
+          Report.file = file.path;
+          line = 1;
+          col = 0;
+          rule = "missing-mli";
+          msg = "module has no .mli interface; write one to pin the public surface";
+        };
+      ]
     else []
   in
-  apply_suppressions ~filename:path supp (mli @ ast_findings ?program ~filename:path src)
+  apply_suppressions ~filename:file.path
+    (Ast_scan.suppressions_of_source file.text)
+    (mli @ ast_findings ~program file)
 
-let lint_tree root =
-  (* One whole-program pass first, so the flow analysis can resolve
-     qualified calls across the tree's modules. *)
-  let files = Ast_scan.ml_files [ root ] in
-  let program = Typed_scan.load_files files in
-  List.concat_map (fun file -> lint_file ~program file) files
+let lint_source ~filename src =
+  let program = Typed_scan.of_sources [ (filename, src) ] in
+  List.concat_map (lint ~program ~check_mli:false) (Typed_scan.files program)
+
+(* One program over every root, so the flow analysis and the budget and
+   refinement passes resolve qualified calls across all their modules. *)
+let lint_paths roots =
+  let program = Typed_scan.load_files (Ast_scan.ml_files roots) in
+  List.concat_map (lint ~program ~check_mli:true) (Typed_scan.files program)

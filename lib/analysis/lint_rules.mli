@@ -44,20 +44,14 @@ val rules : rule list
 (** Every rule this linter knows, for [--list-rules] and the docs. *)
 
 val lint_source : filename:string -> string -> Report.finding list
-(** Parses and lints one implementation given as a string; suppressions
-    are applied.  The [missing-mli] check needs a filesystem context and
-    is not run here; the flow analysis runs without cross-module
-    summaries. *)
+(** Lints one implementation given as a string, as a one-source
+    {!Typed_scan.program}; suppressions are applied.  The [missing-mli]
+    check needs a filesystem context and is not run here; qualified calls
+    into other modules stay unresolved. *)
 
-val lint_source_in : program:Typed_scan.program -> filename:string -> string -> Report.finding list
-(** [lint_source] with a whole-program index for the flow analysis's
-    cross-module summaries. *)
-
-val lint_file : ?check_mli:bool -> ?program:Typed_scan.program -> string -> Report.finding list
-(** Lints a file on disk.  With [check_mli] (default [true]) a missing
-    sibling [.mli] is reported at line 1 (suppressible by an [allow]
+val lint_paths : string list -> Report.finding list
+(** Lints every [.ml] under the roots ({!Ast_scan.ml_files}: files or
+    directories, recursively) as one program, so qualified calls resolve
+    across all the roots' modules.  A file with no sibling [.mli] is
+    reported at line 1 under [missing-mli] (suppressible by an [allow]
     comment on the first line). *)
-
-val lint_tree : string -> Report.finding list
-(** Recursively lints every [.ml] under a directory root, sharing one
-    whole-program index across the files. *)

@@ -80,8 +80,6 @@ let annotations_of_source src =
     (Ast_scan.marker_comments ~marker:"dipp-race:" src);
   { tbl; bad = List.rev !bad; used = Hashtbl.create 8 }
 
-let no_annots () = { tbl = Hashtbl.create 1; bad = []; used = Hashtbl.create 1 }
-
 let annotation_findings ~filename annots =
   List.map
     (fun (line, msg) ->
@@ -148,7 +146,7 @@ type result = { findings : Report.finding list; safe : safe list }
 
 type ctx = {
   filename : string;
-  program : Typed_scan.program option;
+  program : Typed_scan.program;
   annots : annots;
   globals : (string, glob) Hashtbl.t;
   topfns : (string, Parsetree.expression) Hashtbl.t;
@@ -371,21 +369,18 @@ let rec scan_prints ctx depth ~modname (e : Parsetree.expression) : (string * in
   !hit
 
 and printer_of ctx depth m f : (string * int) option =
-  match ctx.program with
-  | None -> None
-  | Some program -> (
-      let key = m ^ "." ^ f in
-      match Hashtbl.find_opt ctx.printers key with
-      | Some r -> r
-      | None ->
-          Hashtbl.replace ctx.printers key None (* recursion guard *);
-          let r =
-            match Typed_scan.lookup program ~modname:m ~name:f with
-            | Some entry -> scan_prints ctx (depth - 1) ~modname:m entry.Typed_scan.body
-            | None -> None
-          in
-          Hashtbl.replace ctx.printers key r;
-          r)
+  let key = m ^ "." ^ f in
+  match Hashtbl.find_opt ctx.printers key with
+  | Some r -> r
+  | None ->
+      Hashtbl.replace ctx.printers key None (* recursion guard *);
+      let r =
+        match Typed_scan.lookup ctx.program ~modname:m ~name:f with
+        | Some entry -> scan_prints ctx (depth - 1) ~modname:m entry.Typed_scan.body
+        | None -> None
+      in
+      Hashtbl.replace ctx.printers key r;
+      r
 
 (* ---- lockset plumbing ------------------------------------------------- *)
 
@@ -1046,8 +1041,7 @@ let unused_annotation_findings ctx =
 
 (* ---- entry points ------------------------------------------------------ *)
 
-let analyze ?program ?annots ~filename structure =
-  let annots = match annots with Some a -> a | None -> no_annots () in
+let analyze ~program ~annots ~filename structure =
   try
     let ctx =
       {
@@ -1123,6 +1117,3 @@ let analyze ?program ?annots ~filename structure =
       safe = List.sort_uniq cmp_safe ctx.safes;
     }
   with _ -> { findings = []; safe = [] }
-
-let check ?program ?annots ~filename structure =
-  (analyze ?program ?annots ~filename structure).findings

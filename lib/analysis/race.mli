@@ -74,8 +74,6 @@ val annotations_of_source : string -> annots
     [domain-local], [merge-only]); prose merely mentioning the marker is
     ignored, a keyword with the wrong arity is malformed. *)
 
-val no_annots : unit -> annots
-
 val annotation_findings : filename:string -> annots -> Report.finding list
 (** Malformed-annotation findings, under [race-shared-mut]. *)
 
@@ -93,20 +91,13 @@ type safe = {
 type result = { findings : Report.finding list; safe : safe list }
 
 val analyze :
-  ?program:Typed_scan.program ->
-  ?annots:annots ->
+  program:Typed_scan.program ->
+  annots:annots ->
   filename:string ->
   Parsetree.structure ->
   result
-(** Runs the pass over one module.  [program] enables the cross-module
-    shared-channel-output scan for qualified calls out of pooled tasks;
-    [annots] supplies trusted annotations (default: none).  Fail-open:
-    an internal error yields an empty result rather than a crash. *)
-
-val check :
-  ?program:Typed_scan.program ->
-  ?annots:annots ->
-  filename:string ->
-  Parsetree.structure ->
-  Report.finding list
-(** [(analyze ...).findings]. *)
+(** Runs the pass over the module loaded under [filename] ([structure] is
+    its parse).  [program] resolves qualified calls out of pooled tasks
+    for the cross-module shared-channel-output scan; [annots] is
+    {!annotations_of_source} of the module's text.  Fail-open: an internal
+    error yields an empty result rather than a crash. *)

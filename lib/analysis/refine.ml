@@ -369,7 +369,7 @@ type ctx = {
   filename : string;
   modname : string;
   annots : annots;
-  program : Typed_scan.program option;
+  program : Typed_scan.program;
   declared : form option;
   mutable fuel : int;
   mutable stack : string list;  (* recursion-guard keys *)
@@ -380,8 +380,8 @@ type ctx = {
   mutable cells : cell_reg list;  (* every mutable cell, for branch joins *)
   mutable last_unresolved : (int * string) option;
   mutable unsafe_audited : (int * int) list;  (* unsafe_sub sites seen *)
-  file_annots : (string, annots) Hashtbl.t;
   module_envs : (string, value Smap.t) Hashtbl.t;
+  sibling_annots : (string, annots) Hashtbl.t;  (* by path, of the modules evaluated *)
   mutable modules_in_progress : string list;
 }
 
@@ -403,19 +403,11 @@ let add_safe ctx ~(loc : Location.t) desc =
       }
       :: ctx.safes
 
+(* Every binding evaluated outside the checked file belongs to a module
+   [module_env] evaluated, which registered that file's annotations. *)
 let annots_for_file ctx file =
   if String.equal file ctx.filename then ctx.annots
-  else
-    match Hashtbl.find_opt ctx.file_annots file with
-    | Some a -> a
-    | None ->
-        let a =
-          if file <> "" && Sys.file_exists file then
-            try annotations_of_source (Ast_scan.read_file file) with _ -> no_annots ()
-          else no_annots ()
-        in
-        Hashtbl.replace ctx.file_annots file a;
-        a
+  else match Hashtbl.find_opt ctx.sibling_annots file with Some a -> a | None -> no_annots ()
 
 let pat_var (p : Parsetree.pattern) =
   match p.ppat_desc with
@@ -720,33 +712,27 @@ and eval_ident ctx env ~loc txt =
    once (memoized) with its own annotations, then look the name up in the
    resulting environment. *)
 and resolve_qualified ctx ~m ~f =
-  match ctx.program with
+  match Typed_scan.lookup ctx.program ~modname:m ~name:f with
   | None -> None
-  | Some prog -> (
-      match Typed_scan.lookup prog ~modname:m ~name:f with
-      | None -> None
-      | Some entry -> (
-          match module_env ctx ~m ~file:entry.file with
-          | Some env -> Smap.find_opt f env
-          | None -> None))
+  | Some entry -> (
+      match module_env ctx ~m ~file:entry.file with
+      | Some env -> Smap.find_opt f env
+      | None -> None)
 
 and module_env ctx ~m ~file =
   match Hashtbl.find_opt ctx.module_envs m with
   | Some env -> Some env
-  | None ->
-      if List.exists (String.equal m) ctx.modules_in_progress then None
-      else if file = "" || not (Sys.file_exists file) then None
-      else begin
-        ctx.modules_in_progress <- m :: ctx.modules_in_progress;
-        let env =
-          match Ast_scan.parse_file file with
-          | structure -> Some (eval_structure ctx structure)
-          | exception _ -> None
-        in
-        ctx.modules_in_progress <- List.filter (fun x -> not (String.equal x m)) ctx.modules_in_progress;
-        Option.iter (fun env -> Hashtbl.replace ctx.module_envs m env) env;
-        env
-      end
+  | None -> (
+      match Typed_scan.find_file ctx.program file with
+      | Some { Typed_scan.parsed = Ok structure; text; _ }
+        when not (List.exists (String.equal m) ctx.modules_in_progress) ->
+          Hashtbl.replace ctx.sibling_annots file (annotations_of_source text);
+          ctx.modules_in_progress <- m :: ctx.modules_in_progress;
+          let env = eval_structure ctx structure in
+          ctx.modules_in_progress <- List.filter (fun x -> not (String.equal x m)) ctx.modules_in_progress;
+          Hashtbl.replace ctx.module_envs m env;
+          Some env
+      | Some _ | None -> None)
 
 (* Top-level environment of a structure: bindings evaluated in order
    (annotation tables are resolved per binding from its source file). *)
@@ -1501,10 +1487,7 @@ let unsafe_sub_sites structure =
   iter.structure iter structure;
   !acc
 
-let analyze ?program ?annots ?declared ~filename structure =
-  let annots =
-    match annots with Some a -> a | None -> no_annots ()
-  in
+let analyze ~program ~annots ?declared ~filename structure =
   let ctx =
     {
       filename;
@@ -1521,8 +1504,8 @@ let analyze ?program ?annots ?declared ~filename structure =
       cells = [];
       last_unresolved = None;
       unsafe_audited = [];
-      file_annots = Hashtbl.create 8;
       module_envs = Hashtbl.create 8;
+      sibling_annots = Hashtbl.create 8;
       modules_in_progress = [ Typed_scan.module_name filename ];
     }
   in
@@ -1603,6 +1586,3 @@ let analyze ?program ?annots ?declared ~filename structure =
     |> List.rev
   in
   { findings = List.rev ctx.findings; safe; label_lo; label_hi }
-
-let check ?program ?annots ?declared ~filename structure =
-  (analyze ?program ?annots ?declared ~filename structure).findings

@@ -72,8 +72,6 @@ val form_leq : envelope -> envelope -> bool
 
 type annots
 
-val no_annots : unit -> annots
-
 val annotations_of_source : string -> annots
 (** Scans source text for [(* dipp-refine: ... *)] comments. *)
 
@@ -102,23 +100,16 @@ type result = {
 }
 
 val analyze :
-  ?program:Typed_scan.program ->
-  ?annots:annots ->
+  program:Typed_scan.program ->
+  annots:annots ->
   ?declared:envelope ->
   filename:string ->
   Parsetree.structure ->
   result
-(** Runs the pass on one module.  [program] enables cross-module helper
-    evaluation; [annots] should be [annotations_of_source] of the same
-    file; [declared] switches on the [refine-budget] check against that
-    envelope.  The pass is fail-open: an internal error yields an empty
-    result rather than a crash. *)
-
-val check :
-  ?program:Typed_scan.program ->
-  ?annots:annots ->
-  ?declared:envelope ->
-  filename:string ->
-  Parsetree.structure ->
-  Report.finding list
-(** [(analyze ...).findings]. *)
+(** Runs the pass on the module loaded under [filename] ([structure] is
+    its parse).  [program] resolves cross-module helpers: a sibling
+    module is evaluated from its parse in the program, with the
+    annotations of its text; [annots] is {!annotations_of_source} of this
+    module's text; [declared] switches on the [refine-budget] check
+    against that envelope.  The pass is fail-open: an internal error
+    yields an empty result rather than a crash. *)

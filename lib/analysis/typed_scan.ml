@@ -1,18 +1,20 @@
-(* A lightweight whole-program view for the flow analysis: every top-level
-   function binding of every module, indexed as "Module.name", with its
-   parameter names and body.  This is the layer interprocedural rules
-   (flow-locality) resolve qualified calls against; single-file entry
-   points run with an empty program and degrade gracefully. *)
+(* The one loader: each file is read (when it comes from disk) and parsed
+   once, and every pass reads the structure, the text and the binding
+   index from the program.  The index holds every top-level function
+   binding of every module, as "Module.name" and per file, with its
+   parameter names and body; the interprocedural rules resolve qualified
+   calls against it. *)
 
-type entry = {
-  params : string list;
-  body : Parsetree.expression;
-  file : string;
-  line : int;
-  orig : Parsetree.expression;
+type entry = { params : string list; body : Parsetree.expression; file : string }
+
+type file = { path : string; text : string; parsed : (Parsetree.structure, exn) result }
+
+type program = {
+  files : file list;
+  by_path : (string, file) Hashtbl.t;
+  index : (string, entry) Hashtbl.t;  (* "Module.name" *)
+  own : (string * string, entry) Hashtbl.t;  (* (path, name) *)
 }
-
-type program = (string, entry) Hashtbl.t
 
 let module_name path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
@@ -29,7 +31,15 @@ let peel_params expr =
   in
   go [] expr
 
-let add_structure ~file prog ~modname structure =
+(* The compiler's own parser, so anything that builds also lints and
+   locations match the compiler's diagnostics. *)
+let parse ~filename text =
+  let lexbuf = Lexing.from_string text in
+  Location.init lexbuf filename;
+  Parse.implementation lexbuf
+
+let add_structure prog ~path structure =
+  let modname = module_name path in
   List.iter
     (fun (item : Parsetree.structure_item) ->
       match item.pstr_desc with
@@ -40,37 +50,36 @@ let add_structure ~file prog ~modname structure =
               | Ppat_var { txt; _ } -> (
                   match peel_params vb.pvb_expr with
                   | Some (params, body) ->
-                      Hashtbl.replace prog (modname ^ "." ^ txt)
-                        {
-                          params;
-                          body;
-                          file;
-                          line = vb.pvb_pat.ppat_loc.loc_start.pos_lnum;
-                          orig = vb.pvb_expr;
-                        }
+                      let entry = { params; body; file = path } in
+                      Hashtbl.replace prog.index (modname ^ "." ^ txt) entry;
+                      Hashtbl.replace prog.own (path, txt) entry
                   | None -> ())
               | _ -> ())
             vbs
       | _ -> ())
     structure
 
-let of_structure ~modname structure =
-  let prog = Hashtbl.create 64 in
-  add_structure ~file:"" prog ~modname structure;
-  prog
-
-let lookup prog ~modname ~name = Hashtbl.find_opt prog (modname ^ "." ^ name)
-
-(* Files that fail to parse are skipped: the parse-error rule reports
-   them separately. *)
-let load_files files =
-  let prog = Hashtbl.create 64 in
+let of_sources sources =
+  let files =
+    List.map
+      (fun (path, text) ->
+        { path; text; parsed = (try Ok (parse ~filename:path text) with exn -> Error exn) })
+      sources
+  in
+  let prog =
+    { files; by_path = Hashtbl.create 64; index = Hashtbl.create 256; own = Hashtbl.create 256 }
+  in
   List.iter
-    (fun path ->
-      match Ast_scan.parse_file path with
-      | structure -> add_structure ~file:path prog ~modname:(module_name path) structure
-      | exception _ -> ())
+    (fun file ->
+      Hashtbl.replace prog.by_path file.path file;
+      match file.parsed with Ok structure -> add_structure prog ~path:file.path structure | Error _ -> ())
     files;
   prog
 
-let load_tree root = load_files (if Sys.file_exists root then Ast_scan.ml_files [ root ] else [])
+let load_files paths =
+  of_sources (List.map (fun path -> (path, In_channel.with_open_bin path In_channel.input_all)) paths)
+
+let files prog = prog.files
+let find_file prog path = Hashtbl.find_opt prog.by_path path
+let lookup prog ~modname ~name = Hashtbl.find_opt prog.index (modname ^ "." ^ name)
+let lookup_in prog ~path ~name = Hashtbl.find_opt prog.own (path, name)

@@ -27,9 +27,7 @@ let long_chord_accepts ~n ~label_bits =
   let inst = long_chord_yes ~n in
   (Pls_path_outerplanar.run ~label_bits inst).Pls_path_outerplanar.verdict.Dip.accepted
 
-let ceil_log2 n =
-  let rec go w = if 1 lsl w >= n then w else go (w + 1) in
-  max 1 (go 1)
+let ceil_log2 n = max 1 (Ilog.ceil_log2 n)
 
 let soundness_threshold ~n =
   let rec scan w = if w > ceil_log2 n then w else if fooling_accepted ~n ~label_bits:w then scan (w + 1) else w in

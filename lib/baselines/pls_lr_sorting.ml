@@ -1,8 +1,8 @@
 type result = { verdict : Dip.verdict; stats : Dip.stats }
 
-let full_width n =
-  let rec go w = if 1 lsl w >= n then w else go (w + 1) in
-  max 1 (go 1)
+(* Position bits: ceil(log2 n), and at least one so a one-node path still
+   writes a label. *)
+let full_width n = max 1 (Ilog.ceil_log2 n)
 
 let run ?label_bits inst =
   Dipp_protocols.Lr_sorting.validate_instance inst;

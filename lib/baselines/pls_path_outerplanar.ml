@@ -2,9 +2,9 @@ type instance = { graph : Graph.t; witness : int list }
 
 type result = { verdict : Dip.verdict; stats : Dip.stats }
 
-let full_width n =
-  let rec go w = if 1 lsl w >= n then w else go (w + 1) in
-  max 1 (go 1)
+(* Position bits: ceil(log2 n), and at least one so a one-node path still
+   writes a label. *)
+let full_width n = max 1 (Ilog.ceil_log2 n)
 
 (* One-round deterministic PLS for path-outerplanarity (FFM+21 shape).
    Labels: the node's position on P, two has-left/has-right bits, and the

@@ -1,8 +1,8 @@
 type result = { verdict : Dip.verdict; stats : Dip.stats }
 
-let label_width g =
-  let rec go w = if 1 lsl w >= max 2 (Graph.n g) then w else go (w + 1) in
-  go 1
+(* Depth bits: every depth stays below n, and a one-node tree still
+   writes one bit. *)
+let label_width g = Ilog.ceil_log2 (max 2 (Graph.n g))
 
 (* The honest labels: distances to the root along the parent pointers.
    -2 marks a node in progress: a node whose parent is in progress closes

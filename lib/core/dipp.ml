@@ -28,6 +28,7 @@ module Rng = Dipp_util.Rng
 module Min_heap = Dipp_util.Min_heap
 module Prime = Dipp_util.Prime
 module Fp = Dipp_util.Fp
+module Ilog = Dipp_util.Ilog
 module Poly = Dipp_util.Poly
 module Sha256 = Dipp_util.Sha256
 module Json = Dipp_util.Json

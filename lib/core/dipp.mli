@@ -11,6 +11,7 @@ module Bits_flat = Dipp_util.Bits_flat
 module Rng = Dipp_util.Rng
 module Prime = Dipp_util.Prime
 module Fp = Dipp_util.Fp
+module Ilog = Dipp_util.Ilog
 module Poly = Dipp_util.Poly
 module Sha256 = Dipp_util.Sha256
 module Json = Dipp_util.Json

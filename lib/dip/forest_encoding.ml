@@ -67,8 +67,7 @@ let encode g ~parent =
 
 let color_bits labels =
   let maxc = Array.fold_left (fun acc l -> max acc (max l.c1 l.c2)) 0 labels in
-  let rec bits w = if 1 lsl w > maxc then w else bits (w + 1) in
-  max 1 (bits 1)
+  max 1 (Ilog.ceil_log2 (maxc + 1))
 
 let width ~cbits = (2 * cbits) + 2
 

@@ -43,9 +43,7 @@ type row = {
   floor : (int -> int) option;
 }
 
-let ceil_log2 n =
-  let rec go w = if 1 lsl w >= n then w else go (w + 1) in
-  max 1 (go 1)
+let ceil_log2 n = max 1 (Ilog.ceil_log2 n)
 
 let loglog n = max 1 (ceil_log2 (ceil_log2 n))
 

@@ -37,10 +37,10 @@ let underlying_graph inst =
 module Params = struct
   type t = { n : int; block : int; nblocks : int; p : Fp.t; p2 : Fp.t }
 
-  let ceil_log2 n =
-    let rec go w = if 1 lsl w >= n then w else go (w + 1) in
-    go 0
-
+  (* [block] is the position width: ceil(log2 n) bits (Ilog.ceil_log2,
+     which is 0 at n = 1), raised to min n 2; [nblocks] = n / block; [p]
+     and [p2] are the smallest primes above max 64 block^c and
+     2 block^2 p, the fields of the two fingerprints. *)
   let make ?(c = 3) ?block n =
     if n < 1 then invalid_arg "Lr_sorting.Params.make";
     (* block >= 2 keeps x2 = pos + 1 representable when nblocks hits 2^block
@@ -49,9 +49,9 @@ module Params = struct
        wider index fields, a smaller one cannot hold the position bits) *)
     let block =
       match block with
-      | None -> max (min n 2) (ceil_log2 n)
+      | None -> max (min n 2) (Ilog.ceil_log2 n)
       | Some b ->
-          if b < ceil_log2 n then invalid_arg "Lr_sorting.Params.make: block too small for position bits";
+          if b < Ilog.ceil_log2 n then invalid_arg "Lr_sorting.Params.make: block too small for position bits";
           max (min n 2) b
     in
     let nblocks = max 1 (n / block) in
@@ -115,10 +115,10 @@ type coins2 = { r : int option; rp : int option; rb : int option }
 
 type coins4 = { z : int option }
 
-(* Serialization widths. *)
-let bits_for x =
-  let rec go w = if 1 lsl w > x then w else go (w + 1) in
-  max 1 (go 1)
+(* Serialization widths: the bits that hold every value in [0, x], at
+   least one, so a field whose values are all zero still takes a bit in
+   every label. *)
+let bits_for x = max 1 (Ilog.ceil_log2 (x + 1))
 
 let flag_code = function Left_of -> 0 | At_vb -> 1 | Right_of -> 2
 

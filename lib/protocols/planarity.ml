@@ -9,9 +9,9 @@ type result = {
   transcript : (Dip.phase * Bits.t array) list;
 }
 
-let bits_for x =
-  let rec go w = if 1 lsl w > x then w else go (w + 1) in
-  max 1 (go 1)
+(* The bits that hold every value in [0, x]; at least one, so a field
+   whose values are all zero still takes a bit. *)
+let bits_for x = max 1 (Ilog.ceil_log2 (x + 1))
 
 let run ?(seed = 0) ?(c = 3) ?(retain = false) ?(codec = Bits_flat.Flat) ~prover inst =
   let g = inst.graph in

@@ -28,6 +28,4 @@ let inv t a =
 
 let sample t rng = Rng.int rng t.p
 
-let bit_width t =
-  let rec go w = if 1 lsl w >= t.p then w else go (w + 1) in
-  go 1
+let bit_width t = max 1 (Ilog.ceil_log2 t.p)

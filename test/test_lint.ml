@@ -302,9 +302,33 @@ let test_missing_mli () =
       write (Filename.concat dir "naked.ml") "let x = 1\n";
       Alcotest.(check (list string))
         "ml without mli flagged" [ "missing-mli" ]
-        (rules_of (Lint.lint_tree dir));
+        (rules_of (Lint.lint_paths [ dir ]));
       write (Filename.concat dir "naked.mli") "val x : int\n";
-      Alcotest.(check (list string)) "mli added, clean" [] (rules_of (Lint.lint_tree dir)))
+      Alcotest.(check (list string)) "mli added, clean" [] (rules_of (Lint.lint_paths [ dir ])))
+
+let test_tree_parse_error () =
+  (* one file of the tree does not parse: it is reported once, and the
+     rest of the tree is still linted as one program *)
+  with_temp_dir (fun dir ->
+      let put name ml mli =
+        write (Filename.concat dir (name ^ ".ml")) ml;
+        write (Filename.concat dir (name ^ ".mli")) mli
+      in
+      put "broken" "let x = (\n" "val x : int\n";
+      put "logger" "let say i = Printf.printf \"%d\" i\n" "val say : int -> unit\n";
+      put "fanout" "let show n = ignore (Pool.run n (fun i -> Logger.say i))\n" "val show : int -> unit\n";
+      let findings = Lint.lint_paths [ dir ] in
+      let of_rule rule = List.filter (fun f -> String.equal f.Report.rule rule) findings in
+      Alcotest.(check (list string))
+        "one parse-error, for the broken file"
+        [ Filename.concat dir "broken.ml" ]
+        (List.map (fun f -> f.Report.file) (of_rule "parse-error"));
+      Alcotest.(check (list string))
+        "the pooled call resolves into the sibling module"
+        [ Filename.concat dir "fanout.ml" ]
+        (List.map (fun f -> f.Report.file) (of_rule "race-determinism"));
+      Alcotest.(check (list string))
+        "nothing else" [ "parse-error"; "race-determinism" ] (rules_of findings))
 
 let test_cli () =
   with_temp_dir (fun dir ->
@@ -350,7 +374,7 @@ let test_tree_clean () =
   match locate_lib () with
   | None -> Alcotest.fail "cannot locate lib/ from the test working directory"
   | Some dir ->
-      let findings = Lint.lint_tree dir in
+      let findings = Lint.lint_paths [ dir ] in
       Alcotest.(check (list string))
         "lib/ tree has zero lint findings"
         []
@@ -375,6 +399,7 @@ let () =
           Alcotest.test_case "poly compare" `Quick test_poly_compare;
           Alcotest.test_case "partial stdlib" `Quick test_partial;
           Alcotest.test_case "parse error" `Quick test_parse_error;
+          Alcotest.test_case "parse error in a tree" `Quick test_tree_parse_error;
         ] );
       ( "suppressions",
         [

@@ -16,15 +16,22 @@
 module Race = Dipp_analysis.Race
 module Lint = Dipp_analysis.Lint_rules
 module Report = Dipp_analysis.Report
-module Ast_scan = Dipp_analysis.Ast_scan
+module Typed_scan = Dipp_analysis.Typed_scan
 module Cli = Dipp_analysis.Cli
 
 let rules_of findings = List.sort_uniq String.compare (List.map (fun f -> f.Report.rule) findings)
 
+(* The pass over [src] as a one-source program. *)
+let analyze_source ~filename src =
+  let program = Typed_scan.of_sources [ (filename, src) ] in
+  match Typed_scan.find_file program filename with
+  | Some { Typed_scan.parsed = Ok structure; _ } ->
+      Race.analyze ~program ~annots:(Race.annotations_of_source src) ~filename structure
+  | Some _ | None -> Alcotest.failf "%s does not parse" filename
+
 let analyze ?(filename = "fixture.ml") src =
+  let r = analyze_source ~filename src in
   let annots = Race.annotations_of_source src in
-  let structure = Ast_scan.parse_string ~filename src in
-  let r = Race.analyze ~annots ~filename structure in
   { r with Race.findings = Race.annotation_findings ~filename annots @ r.Race.findings }
 
 let check ?filename src = (analyze ?filename src).Race.findings
@@ -255,11 +262,6 @@ let locate_lib () =
   List.find_opt
     (fun dir -> Sys.file_exists (Filename.concat dir "dip/dip.ml"))
     [ "../lib"; "lib"; "../../lib"; "../../../lib" ]
-
-let analyze_source ~filename src =
-  let annots = Race.annotations_of_source src in
-  let structure = Ast_scan.parse_string ~filename src in
-  Race.analyze ~annots ~filename structure
 
 let test_mutation_label_cache_lock () =
   match locate_lib () with

@@ -21,12 +21,18 @@ let qtest = QCheck_alcotest.to_alcotest
 
 let rules_of findings = List.sort_uniq String.compare (List.map (fun f -> f.Report.rule) findings)
 
-let analyze ?program ?declared src =
-  let annots = Refine.annotations_of_source src in
-  Refine.analyze ?program ~annots ?declared ~filename:"fixture.ml"
-    (Ast_scan.parse_string ~filename:"fixture.ml" src)
+(* The pass over the file loaded under [path], with its own annotations. *)
+let analyze_in program ?declared path =
+  match Typed_scan.find_file program path with
+  | Some { Typed_scan.parsed = Ok structure; text; _ } ->
+      let annots = Refine.annotations_of_source text in
+      Refine.analyze ~program ~annots ?declared ~filename:path structure
+  | Some _ | None -> Alcotest.failf "%s is not a parsed file of the program" path
 
-let check ?program ?declared src = (analyze ?program ?declared src).Refine.findings
+let analyze ?declared src =
+  analyze_in (Typed_scan.of_sources [ ("fixture.ml", src) ]) ?declared "fixture.ml"
+
+let check ?declared src = (analyze ?declared src).Refine.findings
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -129,11 +135,9 @@ let test_cross_module_helper () =
         \  Dip.stats meter\n"
       in
       write "proto.ml" proto;
-      let program = Typed_scan.load_tree dir in
-      let structure = Ast_scan.parse_file (Filename.concat dir "proto.ml") in
+      let program = Typed_scan.load_files (Ast_scan.ml_files [ dir ]) in
       let run declared =
-        (Refine.analyze ~program ~declared ~filename:(Filename.concat dir "proto.ml") structure)
-          .Refine.findings
+        (analyze_in program ~declared (Filename.concat dir "proto.ml")).Refine.findings
       in
       Alcotest.(check (list string))
         "Helper.enc 5 _ = 10 bits fits in 10" []
@@ -141,6 +145,31 @@ let test_cross_module_helper () =
       Alcotest.(check bool)
         "but not in 9" true
         (has_rule Refine.rule_budget (run (Refine.envelope ~add:9 ()))))
+
+let test_in_memory_sibling_annotation () =
+  (* two modules that exist only in memory: the helper's body is opaque,
+     so its width comes from its own dipp-refine annotation, which the
+     pass must read from the program's text rather than from disk *)
+  let helper = "(* dipp-refine: width <= 3*w *)\nlet enc w x = Mystery.encode w x\n" in
+  let proto =
+    "let run n =\n\
+    \  let meter = Dip.meter () in\n\
+    \  Dip.record_prover meter (Array.init n (fun _ -> Helper.enc 5 1));\n\
+    \  Dip.stats meter\n"
+  in
+  let dir = "no-such-dir-refine-in-memory" in
+  let helper_path = Filename.concat dir "helper.ml" and proto_path = Filename.concat dir "proto.ml" in
+  Alcotest.(check bool) "the sources are not on disk" false (Sys.file_exists dir);
+  let program = Typed_scan.of_sources [ (helper_path, helper); (proto_path, proto) ] in
+  let r = analyze_in program ~declared:(Refine.envelope ~add:15 ()) proto_path in
+  Alcotest.(check (list string)) "3*w at w = 5 fits in 15" [] (rules_of r.Refine.findings);
+  Alcotest.(check (option int))
+    "the annotation bounds the label" (Some 15)
+    (Option.bind r.Refine.label_hi (Refine.eval_form ~n:64 ~delta:8));
+  Alcotest.(check bool)
+    "but not in 14" true
+    (has_rule Refine.rule_budget
+       (analyze_in program ~declared:(Refine.envelope ~add:14 ()) proto_path).Refine.findings)
 
 (* ---- loop widening terminates ----------------------------------------- *)
 
@@ -346,13 +375,8 @@ let test_mutation_real_row () =
   | None -> Alcotest.fail "cannot locate lib/ from the test working directory"
   | Some dir -> (
       let file = Filename.concat dir "protocols/lr_sorting.ml" in
-      let src = In_channel.with_open_bin file In_channel.input_all in
-      let program = Typed_scan.load_tree dir in
-      let annots = Refine.annotations_of_source src in
-      let structure = Ast_scan.parse_file file in
-      let run declared =
-        (Refine.analyze ~program ~annots ~declared ~filename:file structure).Refine.findings
-      in
+      let program = Typed_scan.load_files (Ast_scan.ml_files [ dir ]) in
+      let run declared = (analyze_in program ~declared file).Refine.findings in
       match Bounds.find "lr_sorting" with
       | None -> Alcotest.fail "lr_sorting has no bounds row"
       | Some row ->
@@ -459,6 +483,8 @@ let () =
         [
           Alcotest.test_case "affine helper" `Quick test_affine_helper;
           Alcotest.test_case "cross-module helper" `Quick test_cross_module_helper;
+          Alcotest.test_case "in-memory sibling annotation" `Quick
+            test_in_memory_sibling_annotation;
           Alcotest.test_case "loop widening terminates" `Quick test_widening_terminates;
         ] );
       ( "annotations",

@@ -430,6 +430,31 @@ let test_fp_bit_width () =
   Alcotest.(check int) "width 2" 1 (Fp.bit_width (Fp.create 2));
   Alcotest.(check int) "width 257" 9 (Fp.bit_width (Fp.create 257))
 
+(* The hand-written width loops Ilog.ceil_log2 replaced, kept as the
+   reference: [ge ~from n] is the smallest [w >= from] with [2^w >= n],
+   [gt x] the smallest [w >= 1] with [2^w > x]. *)
+let ceil_log2_ref_ge ~from n =
+  let rec go w = if 1 lsl w >= n then w else go (w + 1) in
+  go from
+
+let ceil_log2_ref_gt x =
+  let rec go w = if 1 lsl w > x then w else go (w + 1) in
+  max 1 (go 1)
+
+let prop_ceil_log2_matches_loops =
+  let arg =
+    QCheck.oneof
+      [
+        QCheck.int_range (-4) 70_000;
+        QCheck.map (fun (k, d) -> (1 lsl k) + d) QCheck.(pair (int_range 0 60) (int_range (-1) 1));
+      ]
+  in
+  QCheck.Test.make ~name:"ilog: ceil_log2 matches the loops it replaced" ~count:1000 arg (fun n ->
+      Ilog.ceil_log2 n = ceil_log2_ref_ge ~from:0 n
+      && max 1 (Ilog.ceil_log2 n) = ceil_log2_ref_ge ~from:1 n
+      && Ilog.ceil_log2 (max 2 n) = ceil_log2_ref_ge ~from:1 (max 2 n)
+      && max 1 (Ilog.ceil_log2 (n + 1)) = ceil_log2_ref_gt n)
+
 (* ---- Poly ---------------------------------------------------------- *)
 
 let test_poly_eval () =
@@ -538,6 +563,7 @@ let () =
           Alcotest.test_case "fp ops" `Quick test_fp_ops;
           Alcotest.test_case "fp inverse" `Quick test_fp_inverse;
           Alcotest.test_case "fp bit width" `Quick test_fp_bit_width;
+          qtest prop_ceil_log2_matches_loops;
         ] );
       ( "poly",
         [
